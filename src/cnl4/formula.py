@@ -11,6 +11,7 @@ Grammar (whitespace insignificant)::
 Negation binds tighter than conjunction, which binds tighter than
 disjunction; the binary connectives associate to the left.  Sequents are
 written ``P1, P2 |- C``; the premise list may be empty (``|- C``).
+Formulas nested deeper than :data:`MAX_DEPTH` are refused.
 
 The printer emits minimal parentheses and round-trips exactly:
 ``parse(format_formula(f)) == f`` for every formula ``f``.
@@ -90,6 +91,14 @@ _TOK_COMMA = ","
 _TOK_TURNSTILE = "|-"
 _TOK_EOF = "end of input"
 
+#: Deepest formula the parser accepts, counting connectives on the longest
+#: path from the root to an atom (an atom has depth 0), and the most
+#: parentheses that may be open at once.  Deeper input raises
+#: :class:`ParseError`.  Printing, evaluating and comparing formulas
+#: recurse up to three interpreter frames per level, so every command
+#: must still succeed, with room to spare, at this depth.
+MAX_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -132,9 +141,15 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser (recursive descent, one token of lookahead)
 
 class _Parser:
+    """Each rule returns a formula with its depth, so the depth bound
+    covers chains of binary connectives as well as nesting; ``level``
+    counts the parentheses the parser is inside, which bounds its own
+    recursion."""
+
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.index = 0
+        self.level = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -151,36 +166,59 @@ class _Parser:
         return self.advance()
 
     def formula(self) -> Formula:
-        return self.disj()
+        return self.disj()[0]
 
-    def disj(self) -> Formula:
-        left = self.conj()
+    @staticmethod
+    def too_deep(token: _Token) -> ParseError:
+        return ParseError(token.position, f"formula nested deeper than {MAX_DEPTH} levels")
+
+    def disj(self) -> tuple[Formula, int]:
+        left, depth = self.conj()
         while self.peek().kind == _TOK_OR:
-            self.advance()
-            left = Or(left, self.conj())
-        return left
+            token = self.advance()
+            right, right_depth = self.conj()
+            left, depth = Or(left, right), (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise self.too_deep(token)
+        return left, depth
 
-    def conj(self) -> Formula:
-        left = self.neg()
+    def conj(self) -> tuple[Formula, int]:
+        left, depth = self.neg()
         while self.peek().kind == _TOK_AND:
-            self.advance()
-            left = And(left, self.neg())
-        return left
+            token = self.advance()
+            right, right_depth = self.neg()
+            left, depth = And(left, right), (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise self.too_deep(token)
+        return left, depth
 
-    def neg(self) -> Formula:
-        token = self.peek()
-        if token.kind == _TOK_NOT:
-            self.advance()
-            return Neg(self.neg())
+    def neg(self) -> tuple[Formula, int]:
+        token = self.advance()
         if token.kind == _TOK_NAME:
-            self.advance()
-            return Atom(token.text)
-        if token.kind == _TOK_LPAREN:
-            self.advance()
-            inner = self.formula()
+            return Atom(token.text), 0
+        # a run of ~ is read in a loop and wrapped round its operand, so
+        # only parentheses make the parser recurse
+        first = self.index - 1
+        while token.kind == _TOK_NOT:
+            token = self.advance()
+        negations = self.index - 1 - first
+        if token.kind == _TOK_NAME:
+            f, depth = Atom(token.text), 0
+        elif token.kind == _TOK_LPAREN:
+            self.level += 1
+            if self.level > MAX_DEPTH:
+                raise self.too_deep(token)
+            f, depth = self.disj()
             self.expect(_TOK_RPAREN)
-            return inner
-        raise ParseError(token.position, "expected a formula")
+            self.level -= 1
+        else:
+            raise ParseError(token.position, "expected a formula")
+        if depth + negations > MAX_DEPTH:
+            # the ~ that takes the depth past the bound
+            raise self.too_deep(self.tokens[first + negations - 1 - (MAX_DEPTH - depth)])
+        for _ in range(negations):
+            f = Neg(f)
+        return f, depth + negations
 
     def end(self) -> None:
         token = self.peek()

@@ -14,7 +14,8 @@ from enum import Enum
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .formula import And, Atom, Formula, Neg, Or, Sequent, sequent_variables, variables
+from .engine import Clauses, Program
+from .formula import And, Atom, Formula, Neg, Or, Sequent
 
 DEFAULT_CAP = 10
 
@@ -124,32 +125,73 @@ def evaluate(f: Formula, interpretation: Interpretation) -> Value:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def interpretations(names: Sequence[str],
-                    order: Sequence[Value] = CANONICAL_ORDER) -> Iterator[dict[str, Value]]:
-    """All assignments to ``names``, the last variable cycling fastest."""
-    for values in product(order, repeat=len(names)):
+def interpretations(names: Sequence[str]) -> Iterator[dict[str, Value]]:
+    """All assignments to ``names`` in ``CANONICAL_ORDER``, the last
+    variable cycling fastest."""
+    for values in product(CANONICAL_ORDER, repeat=len(names)):
         yield dict(zip(names, values))
+
+
+#: Each value as the truth set O1 gives it: (1 in the set, 0 in the set).
+BITS: dict[Value, tuple[bool, bool]] = {
+    V1: (True, False), VI: (True, True), VJ: (False, False), V0: (False, True),
+}
+
+
+def matrix_clauses(order: Sequence[Value]) -> Clauses:
+    """The matrix as O1's truth-set clauses over planes, scanning ``order``.
+
+    Negation puts 1 in when 0 is absent and 0 in when 1 is present;
+    conjunction is true when both conjuncts are and false when either is;
+    disjunction dually; designated means 1 is in the set.
+    """
+    return Clauses(
+        codes=tuple(BITS[v] for v in order),
+        neg=lambda a1, a0, full: (full ^ a0, a1),
+        conj=lambda a1, a0, b1, b0: (a1 & b1, a0 | b0),
+        disj=lambda a1, a0, b1, b0: (a1 | b1, a0 & b0),
+        designated=lambda a1, a0, full: a1,
+    )
+
+
+def compile_within_cap(formulas: Sequence[Formula], cap: int) -> Program:
+    """Compile ``formulas`` for block evaluation.
+
+    Raises :class:`CapExceededError` when more than ``cap`` variables occur.
+    """
+    program = Program(formulas)
+    if len(program.names) > cap:
+        raise CapExceededError(len(program.names), cap)
+    return program
+
+
+_VALUE_OF_BITS = {(str(int(has1)), str(int(has0))): v for v, (has1, has0) in BITS.items()}
 
 
 def truth_table(f: Formula, cap: int = DEFAULT_CAP) -> list[tuple[dict[str, Value], Value]]:
     """All rows ``(interpretation, value)`` for ``f``.
 
     Variables appear in first-occurrence order and rows cycle through
-    ``CANONICAL_ORDER``, rightmost variable fastest.
+    ``CANONICAL_ORDER``, rightmost variable fastest.  Values are computed
+    a block of interpretations at a time.
     """
-    names = variables(f)
-    if len(names) > cap:
-        raise CapExceededError(len(names), cap)
-    return [(inter, evaluate(f, inter)) for inter in interpretations(names)]
+    program = compile_within_cap([f], cap)
+    width = program.block_size
+    values: list[Value] = []
+    for _, [(p1, p0)] in program.blocks(matrix_clauses(CANONICAL_ORDER)):
+        # bit k of a plane is character k of the reversed binary string
+        values += map(_VALUE_OF_BITS.get, zip(f"{p1:0{width}b}"[::-1], f"{p0:0{width}b}"[::-1]))
+    return list(zip(interpretations(program.names), values))
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a consequence check.
 
-    ``witness`` is the first countermodel found (scan order
-    :data:`WITNESS_ORDER`) or ``None`` when the sequent is valid;
-    ``checked`` counts the interpretations inspected.
+    ``witness`` is the first countermodel in scan order
+    :data:`WITNESS_ORDER` or ``None`` when the sequent is valid;
+    ``checked`` is the index of that countermodel + 1, or ``4 ** n`` for
+    a valid sequent over ``n`` variables.
     """
 
     valid: bool
@@ -158,21 +200,18 @@ class Verdict:
 
 
 def is_consequence(s: Sequent, cap: int = DEFAULT_CAP) -> Verdict:
-    """Decide designation-preservation for ``s`` by full enumeration.
+    """Decide designation-preservation for ``s`` over all ``4 ** n``
+    interpretations, scanned in :data:`WITNESS_ORDER` a block at a time.
 
-    Visits at most ``4 ** n`` interpretations for ``n`` variables and
-    stops at the first countermodel.
+    ``checked`` is the index of the first countermodel + 1, or ``4 ** n``
+    when there is none; the scan stops in the block holding it.
     """
-    names = sequent_variables(s)
-    if len(names) > cap:
-        raise CapExceededError(len(names), cap)
-    checked = 0
-    for inter in interpretations(names, order=WITNESS_ORDER):
-        checked += 1
-        if all(evaluate(p, inter) in DESIGNATED for p in s.premises):
-            if evaluate(s.conclusion, inter) not in DESIGNATED:
-                return Verdict(valid=False, witness=inter, checked=checked)
-    return Verdict(valid=True, witness=None, checked=checked)
+    program = compile_within_cap([*s.premises, s.conclusion], cap)
+    digits, checked = program.first_countermodel(matrix_clauses(WITNESS_ORDER))
+    if digits is None:
+        return Verdict(valid=True, witness=None, checked=checked)
+    witness = {name: WITNESS_ORDER[d] for name, d in zip(program.names, digits)}
+    return Verdict(valid=False, witness=witness, checked=checked)
 
 
 def countermodel(s: Sequent, cap: int = DEFAULT_CAP) -> dict[str, Value] | None:

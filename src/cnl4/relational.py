@@ -25,20 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Iterator, Mapping
+from typing import Mapping, Sequence
 
-from .formula import And, Atom, Formula, Neg, Or, Sequent, sequent_variables, variables
+from .engine import Clauses
+from .formula import And, Atom, Formula, Neg, Or, Sequent
 from .matrix import (
+    BITS,
     CANONICAL_ORDER,
     DEFAULT_CAP,
     DESIGNATED,
     WITNESS_ORDER,
-    CapExceededError,
     UnboundVariableError,
     Value,
-    evaluate,
-    interpretations,
+    compile_within_cap,
+    matrix_clauses,
     render_table_lines,
 )
 
@@ -213,16 +213,32 @@ def designated_truth_sets(option: OptionReading) -> frozenset[TruthSet]:
     return frozenset(correspond(option, v) for v in DESIGNATED)
 
 
-def rel_interpretations(option: OptionReading,
-                        names: list[str]) -> Iterator[dict[str, TruthSet]]:
-    """All truth-set assignments to ``names``.
+def option_clauses(option: OptionReading, order: Sequence[Value]) -> Clauses:
+    """The option's clauses over planes, scanning the images of ``order``.
 
-    Scanned in the image of the matrix witness order, so the first
-    relational countermodel is the translation of the matrix one.
+    The plane form of :func:`rel_eval` and :func:`rel_designated`.
     """
-    order = [correspond(option, v) for v in WITNESS_ORDER]
-    for sets in product(order, repeat=len(names)):
-        yield dict(zip(names, sets))
+    zero_absent = option.neg_truth is NegTruthClause.ZERO_ABSENT
+    one_present = option.neg_falsity is NegFalsityClause.ONE_PRESENT
+    either = option.falsity_style is FalsityStyle.EITHER
+    preservation = option.preservation
+
+    def neg(a1: int, a0: int, full: int) -> tuple[int, int]:
+        return (full ^ a0 if zero_absent else a0), (a1 if one_present else full ^ a1)
+
+    def conj(a1: int, a0: int, b1: int, b0: int) -> tuple[int, int]:
+        return a1 & b1, (a0 | b0 if either else a0 & b0)
+
+    def disj(a1: int, a0: int, b1: int, b0: int) -> tuple[int, int]:
+        return a1 | b1, (a0 & b0 if either else a0 | b0)
+
+    def designated(a1: int, a0: int, full: int) -> int:
+        if preservation is Preservation.TRUTH:
+            return a1
+        return full ^ a0 if preservation is Preservation.NON_FALSITY else a0
+
+    codes = tuple((s.has1, s.has0) for s in (correspond(option, v) for v in order))
+    return Clauses(codes, neg, conj, disj, designated)
 
 
 @dataclass(frozen=True)
@@ -237,19 +253,18 @@ def rel_consequence(option: OptionReading, s: Sequent,
     """Consequence over relational interpretations, per the option's clauses.
 
     Computed entirely on the truth-set side; agreement with the matrix
-    verdict is a theorem, not an implementation shortcut.
+    verdict is a theorem, not an implementation shortcut.  Truth sets are
+    scanned in the image of :data:`WITNESS_ORDER`, so the first relational
+    countermodel is the translation of the matrix one, and ``checked`` is
+    its index + 1, or ``4 ** n`` when there is none.
     """
-    names = sequent_variables(s)
-    if len(names) > cap:
-        raise CapExceededError(len(names), cap)
-    checked = 0
-    for assignment in rel_interpretations(option, names):
-        checked += 1
-        if all(rel_designated(option, rel_eval(option, p, assignment))
-               for p in s.premises):
-            if not rel_designated(option, rel_eval(option, s.conclusion, assignment)):
-                return RelVerdict(valid=False, witness=assignment, checked=checked)
-    return RelVerdict(valid=True, witness=None, checked=checked)
+    program = compile_within_cap([*s.premises, s.conclusion], cap)
+    digits, checked = program.first_countermodel(option_clauses(option, WITNESS_ORDER))
+    if digits is None:
+        return RelVerdict(valid=True, witness=None, checked=checked)
+    order = [correspond(option, v) for v in WITNESS_ORDER]
+    witness = {name: order[d] for name, d in zip(program.names, digits)}
+    return RelVerdict(valid=False, witness=witness, checked=checked)
 
 
 @dataclass(frozen=True)
@@ -279,20 +294,35 @@ class EquivalenceReport:
 
 def check_option_equivalence(option: OptionReading, f: Formula,
                              cap: int = DEFAULT_CAP) -> EquivalenceReport:
-    """Verify that translation commutes with evaluation for ``f``."""
-    names = variables(f)
-    if len(names) > cap:
-        raise CapExceededError(len(names), cap)
+    """Verify that translation commutes with evaluation for ``f``.
+
+    Both routes run a block of interpretations (in ``CANONICAL_ORDER``) at
+    a time: the matrix value through :func:`matrix_clauses`, then the
+    option's map, against the option's own clauses on translated atoms.
+    """
+    program = compile_within_cap([f], cap)
+    image = {BITS[v]: correspond(option, v) for v in CANONICAL_ORDER}
     mismatches = []
-    checked = 0
-    for inter in interpretations(names):
-        checked += 1
-        via_map = correspond(option, evaluate(f, inter))
-        assignment = {name: correspond(option, v) for name, v in inter.items()}
-        via_clauses = rel_eval(option, f, assignment)
-        if via_map != via_clauses:
-            mismatches.append(Mismatch(inter, via_map, via_clauses))
-    return EquivalenceReport(option.id, f, checked, tuple(mismatches))
+    for (block, [(m1, m0)]), (_, [(c1, c0)]) in zip(
+            program.blocks(matrix_clauses(CANONICAL_ORDER)),
+            program.blocks(option_clauses(option, CANONICAL_ORDER))):
+        full = (1 << program.block_size) - 1
+        v1 = v0 = 0
+        for (has1, has0), target in image.items():
+            where = (m1 if has1 else full ^ m1) & (m0 if has0 else full ^ m0)
+            v1 |= where if target.has1 else 0
+            v0 |= where if target.has0 else 0
+        differ = (v1 ^ c1) | (v0 ^ c0)
+        while differ:
+            low = differ & -differ
+            differ ^= low
+            bit = low.bit_length() - 1
+            digits = program.digits(block * program.block_size + bit)
+            mismatches.append(Mismatch(
+                {name: CANONICAL_ORDER[d] for name, d in zip(program.names, digits)},
+                TruthSet(bool(v1 >> bit & 1), bool(v0 >> bit & 1)),
+                TruthSet(bool(c1 >> bit & 1), bool(c0 >> bit & 1))))
+    return EquivalenceReport(option.id, f, 4 ** len(program.names), tuple(mismatches))
 
 
 @dataclass(frozen=True)

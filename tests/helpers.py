@@ -1,17 +1,29 @@
-"""Shared formula and sequent generators for the test suite.
+"""Shared formula and sequent generators and reference scans for the
+test suite.
 
-Two flavours: a seeded ``random.Random`` generator for tests that need a
-fixed, reproducible sample of a given size, and hypothesis strategies for
-property tests that benefit from shrinking.
+Two flavours of generator: a seeded ``random.Random`` generator for tests
+that need a fixed, reproducible sample of a given size, and hypothesis
+strategies for property tests that benefit from shrinking.  The reference
+scans enumerate interpretations one at a time with the recursive
+evaluators; the block engine must agree with them exactly.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from hypothesis import strategies as st
 
-from cnl4.formula import And, Atom, Formula, Neg, Or, Sequent
+from cnl4.formula import And, Atom, Formula, Neg, Or, Sequent, sequent_variables, variables
+from cnl4.matrix import DESIGNATED, WITNESS_ORDER, evaluate, interpretations
+from cnl4.relational import (
+    Mismatch,
+    OptionReading,
+    correspond,
+    rel_designated,
+    rel_eval,
+)
 
 DEFAULT_ATOMS = ("p", "q", "r")
 
@@ -59,3 +71,54 @@ def formula_strategy(
         ),
         max_leaves=max_leaves,
     )
+
+
+def reference_consequence(
+    s: Sequent, option: OptionReading | None = None,
+) -> tuple[bool, dict | None, int]:
+    """``(valid, first witness, checked)`` by enumerating interpretations
+    in :data:`WITNESS_ORDER` (its image under ``option``, which selects
+    the option's clauses), evaluating each formula recursively."""
+    names = sequent_variables(s)
+    if option is None:
+        order = WITNESS_ORDER
+
+        def designated(f, inter):
+            return evaluate(f, inter) in DESIGNATED
+    else:
+        order = [correspond(option, v) for v in WITNESS_ORDER]
+
+        def designated(f, inter):
+            return rel_designated(option, rel_eval(option, f, inter))
+    checked = 0
+    for values in product(order, repeat=len(names)):
+        inter = dict(zip(names, values))
+        checked += 1
+        if all(designated(p, inter) for p in s.premises):
+            if not designated(s.conclusion, inter):
+                return False, inter, checked
+    return True, None, checked
+
+
+def reference_mismatches(option: OptionReading, f: Formula) -> list[Mismatch]:
+    """Interpretations, in ``CANONICAL_ORDER``, under which translating the
+    matrix value of ``f`` differs from evaluating the option's clauses on
+    translated atoms."""
+    mismatches = []
+    for inter in interpretations(variables(f)):
+        via_map = correspond(option, evaluate(f, inter))
+        assignment = {name: correspond(option, v) for name, v in inter.items()}
+        via_clauses = rel_eval(option, f, assignment)
+        if via_map != via_clauses:
+            mismatches.append(Mismatch(inter, via_map, via_clauses))
+    return mismatches
+
+
+def deep_formula_texts(depth: int) -> dict[str, str]:
+    """Formulas of exactly ``depth`` nested connectives, by shape."""
+    return {
+        "negations": "~" * depth + "p",
+        "left chain": " & ".join(["p"] * (depth + 1)),
+        "parenthesised right chain": "p | (" * (depth - 1) + "p | q" + ")" * (depth - 1),
+        "negated chain": "~(" + " & ".join("pq"[k % 2] for k in range(depth)) + ")",
+    }

@@ -12,7 +12,9 @@ import json
 import pytest
 
 from cnl4.cli import run
+from cnl4.formula import MAX_DEPTH
 from cnl4.nd import check, corpus, from_json_dict, to_json_dict
+from helpers import deep_formula_texts
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -46,6 +48,36 @@ def test_parse_error_exit_code(capsys) -> None:
     assert out == ""
     assert "parse error" in err
     assert "position 7" in err
+
+
+def _formula_verbs(text: str) -> list[list[str]]:
+    return [["parse", text], ["eval", text, "p=1", "q=j"], ["truthtable", text],
+            ["conseq", f"{text} |- {text}"], ["countermodel", f"{text} |- p"],
+            ["search-proof", f"{text} |- {text}"], ["options", "compare", text]]
+
+
+@pytest.mark.parametrize("output", [[], ["--format", "json"]], ids=["text", "json"])
+@pytest.mark.parametrize("shape", deep_formula_texts(1))
+def test_every_verb_succeeds_at_the_depth_bound(capsys, tmp_path, shape, output) -> None:
+    text = deep_formula_texts(MAX_DEPTH)[shape]
+    for argv in _formula_verbs(text):
+        code, _, err = invoke(capsys, *argv, *output)
+        assert code in (0, 1) and err == "", argv[0]
+    _, out, _ = invoke(capsys, "search-proof", f"{text} |- {text}", "--format", "json")
+    proof = tmp_path / "proof.json"
+    proof.write_text(json.dumps(json.loads(out)["derivation"]))
+    code, _, err = invoke(capsys, "check-proof", str(proof), *output)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("shape", deep_formula_texts(1))
+def test_every_verb_refuses_past_the_depth_bound(capsys, shape) -> None:
+    text = deep_formula_texts(MAX_DEPTH + 1)[shape]
+    for argv in _formula_verbs(text):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3 and out == "", argv[0]
+        assert err.count("\n") == 1
+        assert f"nested deeper than {MAX_DEPTH} levels" in err
 
 
 def test_eval_basic(capsys) -> None:

@@ -1,0 +1,176 @@
+"""The block engine against the one-interpretation-at-a-time reference.
+
+Consequence, truth tables and option comparison evaluate whole blocks of
+interpretations as two bitplanes.  These tests pin each clause set to its
+golden connective table (so, by induction on formulas, the engine computes
+the semantics the tables define) and check that verdicts, witnesses,
+``checked`` counts, rows and mismatches equal those of the reference scans
+in ``helpers``, including across block boundaries.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib.resources
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cnl4.engine import BLOCK_VARS, Program
+from cnl4.formula import And, Atom, Neg, Or, Sequent, parse, parse_sequent, variables
+from cnl4.matrix import (
+    BITS,
+    CANONICAL_ORDER,
+    WITNESS_ORDER,
+    Value,
+    evaluate,
+    interpretations,
+    is_consequence,
+    matrix_clauses,
+    render_table_lines,
+    truth_table,
+)
+from cnl4.relational import (
+    FDE_OF_SET,
+    FDE_ORDER,
+    OPTIONS,
+    TRUTH_SETS,
+    FalsityStyle,
+    check_option_equivalence,
+    correspond,
+    option_clauses,
+    rel_consequence,
+)
+from helpers import formula_strategy, reference_consequence, reference_mismatches
+
+SEMANTICS = (None, *OPTIONS)
+X, Y = Atom("x"), Atom("y")
+
+
+def engine_consequence(s: Sequent, option_id: str | None):
+    if option_id is None:
+        verdict = is_consequence(s)
+    else:
+        verdict = rel_consequence(OPTIONS[option_id], s)
+    return verdict.valid, verdict.witness, verdict.checked
+
+
+def plane_table_lines(clauses, order, decode) -> list[str]:
+    """The 36 table entries the clause set computes, scanning ``order``
+    (whose codes ``clauses`` carries) and decoding bit pairs with ``decode``."""
+    def values(f):
+        program = Program([f])
+        [(_, [(p1, p0)])] = program.blocks(clauses)
+        return [decode[(bool(p1 >> k & 1), bool(p0 >> k & 1))]
+                for k in range(program.block_size)]
+
+    neg = dict(zip(order, values(Neg(X))))
+    pairs = [(a, b) for a in order for b in order]
+    conj = dict(zip(pairs, values(And(X, Y))))
+    disj = dict(zip(pairs, values(Or(X, Y))))
+    return render_table_lines(neg, conj, disj, order)
+
+
+def golden(name: str) -> list[str]:
+    return importlib.resources.files("cnl4.data").joinpath(name).read_text().splitlines()
+
+
+def test_matrix_clauses_match_golden_table() -> None:
+    decode = {bits: v for v, bits in BITS.items()}
+    lines = plane_table_lines(matrix_clauses(CANONICAL_ORDER), CANONICAL_ORDER, decode)
+    assert lines == golden("matrix_tables.txt")
+
+
+@pytest.mark.parametrize("option_id", OPTIONS)
+def test_option_clauses_match_golden_table(option_id) -> None:
+    clauses = option_clauses(OPTIONS[option_id], CANONICAL_ORDER)._replace(
+        codes=tuple((TRUTH_SETS[w].has1, TRUTH_SETS[w].has0) for w in FDE_ORDER))
+    decode = {(s.has1, s.has0): w for s, w in FDE_OF_SET.items()}
+    assert plane_table_lines(clauses, FDE_ORDER, decode) == golden(f"option_{option_id}.txt")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=8), max_size=3),
+    formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=8),
+    st.sampled_from(SEMANTICS),
+)
+def test_consequence_equals_reference(premises, conclusion, option_id) -> None:
+    s = Sequent(tuple(premises), conclusion)
+    option = None if option_id is None else OPTIONS[option_id]
+    got = engine_consequence(s, option_id)
+    expected = reference_consequence(s, option)
+    assert got == expected
+    if expected[1] is not None:
+        assert list(got[1]) == list(expected[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=10))
+def test_truth_table_equals_reference(f) -> None:
+    expected = [(inter, evaluate(f, inter)) for inter in interpretations(variables(f))]
+    assert truth_table(f) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(formula_strategy(max_leaves=8), st.sampled_from(tuple(OPTIONS)),
+       st.sampled_from(tuple(FalsityStyle)))
+def test_option_mismatches_equal_reference(f, option_id, style) -> None:
+    """A reading whose falsity style may be wrong: both routes still report
+    the same mismatches, in scan order."""
+    option = dataclasses.replace(OPTIONS[option_id], falsity_style=style)
+    report = check_option_equivalence(option, f)
+    assert list(report.mismatches) == reference_mismatches(option, f)
+    assert report.checked == 4 ** len(variables(f))
+
+
+@pytest.mark.parametrize("n", [BLOCK_VARS + 1, BLOCK_VARS + 2])
+@pytest.mark.parametrize("option_id", SEMANTICS)
+def test_late_countermodel_across_blocks(n, option_id) -> None:
+    """``~~x & ~x`` is designated only when x is j, the last value of the
+    witness order, so the first countermodel lies in the last quarter of
+    the scan: x = j and every other variable 0, the first undesignated
+    value."""
+    others = [f"x{k}" for k in range(1, n)]
+    s = parse_sequent(f"~~x & ~x |- {' | '.join(others)}")
+    valid, witness, checked = engine_consequence(s, option_id)
+    j, zero = WITNESS_ORDER.index(Value.VJ), WITNESS_ORDER.index(Value.V0)
+    index = j * 4 ** (n - 1) + sum(zero * 4 ** k for k in range(n - 1))
+    assert (valid, checked) == (False, index + 1)
+    expected = {"x": Value.VJ, **{name: Value.V0 for name in others}}
+    if option_id is not None:
+        expected = {name: correspond(OPTIONS[option_id], v) for name, v in expected.items()}
+    assert list(witness.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("n", [BLOCK_VARS + 1, BLOCK_VARS + 2])
+@pytest.mark.parametrize("option_id", SEMANTICS)
+def test_valid_sequent_checks_every_block(n, option_id) -> None:
+    names = [f"x{k}" for k in range(n)]
+    s = parse_sequent(f"{' & '.join(names)} |- {names[-1]} | {names[0]}")
+    assert engine_consequence(s, option_id) == (True, None, 4 ** n)
+
+
+def test_shared_subformulas_compile_once() -> None:
+    shared = parse("~(p & q)")
+    program = Program([And(shared, Or(parse("~(p & q)"), shared)), shared])
+    # p, q, p & q, ~(p & q), the disjunction and the conjunction
+    assert len(program.nodes) == 6
+    assert program.roots == [5, 3]
+    assert program.names == ["p", "q"]
+
+
+def test_deep_and_wide_formulas_do_not_recurse() -> None:
+    """Compiling and evaluating are iterative, so nesting far beyond the
+    interpreter's recursion limit is fine (the parser bounds it for text);
+    a formula built by doubling one object is compiled in linear time."""
+    deep = Atom("p")
+    for _ in range(8000):
+        deep = Neg(deep)
+    assert is_consequence(Sequent((Atom("p"),), deep)).valid  # ~ has order 4
+    doubled = Atom("p")
+    for _ in range(200):
+        doubled = And(doubled, doubled)
+    assert len(Program([doubled]).nodes) == 201
+    assert is_consequence(Sequent((doubled,), Atom("p"))).valid

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from cnl4.formula import (
+    MAX_DEPTH,
     And,
     Atom,
     Neg,
@@ -22,7 +23,7 @@ from cnl4.formula import (
     substitute,
     variables,
 )
-from helpers import formula_strategy
+from helpers import deep_formula_texts, formula_strategy
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -98,6 +99,36 @@ def test_parse_rejects_trailing_turnstile() -> None:
     with pytest.raises(ParseError) as exc_info:
         parse("p |- q")
     assert exc_info.value.position == 3
+
+
+@pytest.mark.parametrize("shape", deep_formula_texts(1))
+def test_parse_accepts_formulas_at_the_depth_bound(shape) -> None:
+    text = deep_formula_texts(MAX_DEPTH)[shape]
+    assert format_formula(parse(text)) == text
+    assert parse_sequent(f"{text} |- {text}").conclusion == parse(text)
+
+
+@pytest.mark.parametrize("shape", deep_formula_texts(1))
+def test_parse_refuses_formulas_past_the_depth_bound(shape) -> None:
+    text = deep_formula_texts(MAX_DEPTH + 1)[shape]
+    for parser, source in ((parse, text), (parse_sequent, f"p |- {text}")):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parser(source)
+
+
+def test_depth_error_points_at_the_connective_past_the_bound() -> None:
+    for text, position in (("~" * (MAX_DEPTH + 5) + "p", 5),
+                           (" & ".join(["p"] * (MAX_DEPTH + 5)), 4 * (MAX_DEPTH + 1) - 1)):
+        with pytest.raises(ParseError) as exc_info:
+            parse(text)
+        assert exc_info.value.position == position
+
+
+def test_parenthesis_nesting_is_bounded_too() -> None:
+    assert parse("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH) == P
+    with pytest.raises(ParseError, match=str(MAX_DEPTH)) as exc_info:
+        parse("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1))
+    assert exc_info.value.position == MAX_DEPTH + 1
 
 
 def test_parse_sequent_examples() -> None:
