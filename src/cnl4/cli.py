@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .fc import (
-    ClosureBudgetError,
     UnaryTable,
     find_term_for_unary,
     unary_clone_closure,
@@ -86,10 +85,6 @@ class Config:
             raise UsageError("cap must be at least 1")
         if self.search_depth < 1:
             raise UsageError("depth must be at least 1")
-        if self.output_format not in ("text", "json"):
-            raise UsageError(f"unknown format {self.output_format!r}")
-        if self.option not in OPTIONS:
-            raise UsageError(f"unknown option {self.option!r}")
 
 
 class UsageError(Exception):
@@ -106,19 +101,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _config_from(args: argparse.Namespace) -> Config:
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        env = os.environ.get("CNL4_CAP")
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise UsageError(f"CNL4_CAP must be an integer, got {env!r}") from None
-        else:
-            cap = DEFAULT_CAP
+    cap, env = getattr(args, "cap", None), os.environ.get("CNL4_CAP")
+    if cap is None and env is not None:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise UsageError(f"CNL4_CAP must be an integer, got {env!r}") from None
     depth = getattr(args, "depth", None)
     return Config(
-        var_cap=cap,
+        var_cap=DEFAULT_CAP if cap is None else cap,
         search_depth=DEFAULT_DEPTH if depth is None else depth,
         output_format=getattr(args, "format", "text"),
         option=getattr(args, "option", None) or "O1",
@@ -247,7 +238,10 @@ def cmd_countermodel(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_check_proof(args: argparse.Namespace, cfg: Config) -> int:
     with open(args.file, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:  # the decoder recurses per nested array or object
+            raise ProofFormatError("proof file nested too deeply to read") from None
     derivation = from_json_dict(data)
     try:
         checked = check(derivation)
@@ -324,10 +318,7 @@ def cmd_fc_verify(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_fc_closure(args: argparse.Namespace, cfg: Config) -> int:
-    budget = args.budget if args.budget is not None else 256
-    if budget < 256:
-        raise UsageError("closure budget must be at least 256")
-    result = unary_clone_closure(budget)
+    result = unary_clone_closure()
     complete = result.size == 256
     if cfg.output_format == "json":
         witnesses = sorted(result.witnesses.items(), key=lambda kv: str(kv[0]))
@@ -362,27 +353,18 @@ def _parse_fde_table(text: str) -> dict[FdeValue, FdeValue]:
 def _transport_table(option_id: str, mapping: dict[FdeValue, FdeValue]) -> UnaryTable:
     option = get_option(option_id)
     inverse = {w: v for v, w in option.value_map.items()}
-    a, b, c, d = (inverse[mapping[option.value_map[v]]] for v in CANONICAL_ORDER)
-    return UnaryTable((a, b, c, d))
+    return UnaryTable(tuple(inverse[mapping[option.value_map[v]]] for v in CANONICAL_ORDER))
 
 
 def cmd_fc_find(args: argparse.Namespace, cfg: Config) -> int:
-    mapping = _parse_fde_table(args.target)
-    target = _transport_table(cfg.option, mapping)
-    budget = args.budget if args.budget is not None else 256
-    if budget < 256:
-        raise UsageError("closure budget must be at least 256")
-    term = find_term_for_unary(target, budget)
+    target = _transport_table(cfg.option, _parse_fde_table(args.target))
+    term = format_formula(find_term_for_unary(target))
     if cfg.output_format == "json":
-        _emit_json({"found": term is not None,
-                    "target": str(target),
-                    "term": None if term is None else format_formula(term)})
-    elif term is None:
-        print("no term found within budget")
+        _emit_json({"found": True, "target": str(target), "term": term})
     else:
-        print(format_formula(term))
+        print(term)
         print(f"table: {target}")
-    return 0 if term is not None else 2
+    return 0
 
 
 def cmd_options_table(args: argparse.Namespace, cfg: Config) -> int:
@@ -509,15 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_fc_verify)
 
     q = fc_sub.add_parser("closure", help="compute the unary clone closure")
-    q.add_argument("--budget", type=int, default=None, metavar="N",
-                   help="maximum number of tables (default 256)")
     _add_format(q)
     q.set_defaults(func=cmd_fc_closure)
 
     q = fc_sub.add_parser("find", help="find a term for a unary table")
     q.add_argument("--target", required=True, metavar="t:_,b:_,n:_,f:_",
                    help="target table in t/b/n/f names, e.g. t:f,b:b,n:n,f:t")
-    q.add_argument("--budget", type=int, default=None, metavar="N")
     _add_format(q)
     _add_option(q)
     q.set_defaults(func=cmd_fc_find)
@@ -551,9 +530,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from(args)
         return args.func(args, cfg)
-    except UsageError as exc:
-        print(f"cnl4: error: {exc}", file=sys.stderr)
-        return 3
     except ParseError as exc:
         print(f"cnl4: parse error: {exc}", file=sys.stderr)
         return 3
@@ -563,25 +539,15 @@ def run(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"cnl4: proof file is not valid JSON: {exc}", file=sys.stderr)
         return 3
-    except (CapExceededError, UnboundVariableError) as exc:
-        print(f"cnl4: error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"cnl4: cannot read input: {exc}", file=sys.stderr)
         return 3
     except DerivationError as exc:
         print(f"cnl4: check failed: {exc}", file=sys.stderr)
         return 2
-    except ClosureBudgetError as exc:
-        print(f"cnl4: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, CapExceededError, UnboundVariableError, ValueError) as exc:
         print(f"cnl4: error: {exc}", file=sys.stderr)
         return 3
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ Three ingredients:
   equation;
 * the closure of {identity, ~} under composition, pointwise & / | and
   post-negation, which reaches all 256 unary functions on the carrier
-  and keeps a smallest-found witness term per function;
+  and keeps a smallest-found witness term per function.  It runs on
+  table indices (ints 0..255 of two-bit truth-set codes), measures each
+  candidate's witness from its parts, and builds terms only for the
+  smallest candidates of each new table;
 * the two-condition criterion for functional completeness of a finite
   matrix with at least three elements: all unary functions definable,
   plus one surjective essentially binary definable function.
@@ -16,27 +19,18 @@ Three ingredients:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .formula import And, Atom, Formula, Neg, Or, format_formula, parse, size, substitute, variables
-from .matrix import AND, CANONICAL_ORDER, NEG, OR, Value, evaluate
+from .formula import And, Atom, Formula, Neg, Or, format_formula, parse, substitute, variables
+from .matrix import AND, BITS, CANONICAL_ORDER, NEG, OR, Value, evaluate
 
 _INDEX = {v: k for k, v in enumerate(CANONICAL_ORDER)}
 
 
 class ReservedVariableError(Exception):
     """A term mentions atoms outside its reserved variable set."""
-
-
-class ClosureBudgetError(Exception):
-    """The closure exceeded its table budget before reaching a fixpoint."""
-
-    def __init__(self, reached: int, budget: int) -> None:
-        super().__init__(f"closure exceeded budget {budget} (reached {reached} tables)")
-        self.reached = reached
-        self.budget = budget
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,7 @@ class BinaryTable:
 
 
 def unary_table(fn) -> UnaryTable:
-    a, b, c, d = (fn(v) for v in CANONICAL_ORDER)
-    return UnaryTable((a, b, c, d))
+    return UnaryTable(tuple(fn(v) for v in CANONICAL_ORDER))
 
 
 def binary_table(fn) -> BinaryTable:
@@ -75,11 +68,6 @@ IDENTITY_TABLE = unary_table(lambda v: v)
 NEG_TABLE = unary_table(lambda v: NEG[v])
 AND_TABLE = binary_table(lambda a, b: AND[(a, b)])
 OR_TABLE = binary_table(lambda a, b: OR[(a, b)])
-
-
-def all_unary_tables() -> list[UnaryTable]:
-    """All 256 unary functions on the four-element carrier."""
-    return [UnaryTable(outs) for outs in product(CANONICAL_ORDER, repeat=4)]
 
 
 # --------------------------------------------------------------------------
@@ -161,15 +149,10 @@ class PointCheck:
 
 def delta_c_point_checks(tables: Mapping[str, UnaryTable]) -> list[PointCheck]:
     """Compare delta/C tables against their defining equations, pointwise."""
-    checks = []
-    for name, a in _DELTA_VALUE.items():
-        expected = indicator_table(a)
-        for b in CANONICAL_ORDER:
-            checks.append(PointCheck(name, b, expected.apply(b), tables[name].apply(b)))
-    for name, a in _CONSTANT_VALUE.items():
-        for b in CANONICAL_ORDER:
-            checks.append(PointCheck(name, b, a, tables[name].apply(b)))
-    return checks
+    expected = {**{name: indicator_table(a) for name, a in _DELTA_VALUE.items()},
+                **{name: constant_table(a) for name, a in _CONSTANT_VALUE.items()}}
+    return [PointCheck(name, b, table.apply(b), tables[name].apply(b))
+            for name, table in expected.items() for b in CANONICAL_ORDER]
 
 
 @dataclass(frozen=True)
@@ -193,12 +176,50 @@ def verify_delta_c() -> DeltaCReport:
     inspection; it has no stipulated reference values.
     """
     tables = {name: fn_of_unary_term(term) for name, term in DEFINING_TERMS.items()}
-    checks = delta_c_point_checks(tables)
-    return DeltaCReport(tuple(checks), tables["bool_neg"])
+    return DeltaCReport(tuple(delta_c_point_checks(tables)), tables["bool_neg"])
 
 
 # --------------------------------------------------------------------------
-# Unary clone closure
+# Unary clone closure in table-index space
+# A table is an int 0..255 whose digit at bits 2c, 2c+1 is the BITS code
+# (has1 high, has0 low) of the output at the argument coded c, so & and |
+# are the truth-set clauses.  Each operation also acts lane-wise on
+# tables packed one per byte, given ``lanes``, the repunit 0x0101...01.
+
+_HAS0, _HAS1 = 0x55, 0xAA  # the low and the high bit of every digit
+_CODE = {v: 2 * has1 + has0 for v, (has1, has0) in BITS.items()}
+_VALUE_OF_CODE = {c: v for v, c in _CODE.items()}
+_IDENTITY = sum(c << 2 * c for c in range(4))
+
+
+def _neg(t: int, lanes: int = 1) -> int:
+    return ((t & _HAS0 * lanes) ^ _HAS0 * lanes) << 1 | (t >> 1) & _HAS0 * lanes
+
+
+def _meet(a: int, b: int, lanes: int = 1) -> int:
+    return a & b & _HAS1 * lanes | (a | b) & _HAS0 * lanes
+
+
+def _join(a: int, b: int, lanes: int = 1) -> int:
+    return (a | b) & _HAS1 * lanes | a & b & _HAS0 * lanes
+
+
+def _compose(f: int, g: int, lanes: int = 1) -> int:
+    """f(g): each digit of g becomes f's digit at that code."""
+    low = _HAS0 * lanes
+    g0, g1 = g & low, (g >> 1) & low
+    return ((g1 ^ low) & (g0 ^ low)) * (f & 3) | ((g1 ^ low) & g0) * (f >> 2 & 3) \
+        | (g1 & (g0 ^ low)) * (f >> 4 & 3) | (g1 & g0) * (f >> 6)
+
+
+def _precompose(g: int, f: int, lanes: int = 1) -> int:
+    """g(f): digit c is g's digit at f's digit c."""
+    return sum((g >> 2 * (f >> 2 * c & 3) & 3 * lanes) << 2 * c for c in range(4))
+
+
+def _unary_table(t: int) -> UnaryTable:
+    return UnaryTable(tuple(_VALUE_OF_CODE[t >> 2 * _CODE[v] & 3] for v in CANONICAL_ORDER))
+
 
 @dataclass(frozen=True)
 class ClosureResult:
@@ -212,73 +233,92 @@ class ClosureResult:
         return len(self.witnesses)
 
 
-def _term_key(term: Formula) -> tuple[int, str]:
-    return (size(term), format_formula(term))
-
-
-def unary_clone_closure(budget: int = 256) -> ClosureResult:
+def unary_clone_closure() -> ClosureResult:
     """Close {identity, ~} under composition, pointwise & / |, and ~.
 
-    Breadth-first by rounds; within a round, new tables adopt the
-    smallest candidate witness (term size, then lexicographic), so the
-    witness map is deterministic.  Raises :class:`ClosureBudgetError` if
-    more than ``budget`` tables appear.
+    Breadth-first by rounds: each round pairs every table added in the
+    previous round with every known table, both ways round.  New tables
+    adopt the smallest candidate witness (term size, then the printed
+    term) and enter the map in that order, so the map is deterministic.
     """
-    if budget < 256:
-        raise ValueError(f"budget must be at least 256, got {budget}")
-    known: dict[UnaryTable, Formula] = {}
-    known[IDENTITY_TABLE] = X
-    known.setdefault(NEG_TABLE, Neg(X))
-    frontier = list(known.items())
-    rounds = 0
-    while frontier:
-        fresh: dict[UnaryTable, Formula] = {}
+    terms, _, rounds = _index_closure()
+    return ClosureResult({_unary_table(t): term for t, term in terms.items()}, rounds)
 
-        def offer(table: UnaryTable, term: Formula) -> None:
-            if table in known:
-                return
-            current = fresh.get(table)
-            if current is None or _term_key(term) < _term_key(current):
-                fresh[table] = term
 
-        # pair each frontier table with everything known, both ways round;
-        # old-old pairs were offered in an earlier round
-        for table_f, term_f in frontier:
-            offer(unary_table(lambda v, t=table_f: NEG[t.apply(v)]), Neg(term_f))
-            for table_g, term_g in known.items():
-                for (tf, ef), (tg, eg) in (((table_f, term_f), (table_g, term_g)),
-                                           ((table_g, term_g), (table_f, term_f))):
-                    offer(unary_table(lambda v, a=tf, b=tg: a.apply(b.apply(v))),
-                          substitute(ef, "x", eg))
-                    offer(unary_table(lambda v, a=tf, b=tg: AND[(a.apply(v), b.apply(v))]),
-                          And(ef, eg))
-                    offer(unary_table(lambda v, a=tf, b=tg: OR[(a.apply(v), b.apply(v))]),
-                          Or(ef, eg))
+def _index_closure() -> tuple[dict[int, Formula], dict[int, tuple[int, int]], int]:
+    """Witnesses by table index in insertion order, their (size, number
+    of x), and the round count.  A candidate is measured from its parts;
+    its term is built only if it is among the smallest for a new table."""
+    nx = _neg(_IDENTITY)
+    terms: dict[int, Formula] = {_IDENTITY: X, nx: Neg(X)}
+    measures = {_IDENTITY: (1, 1), nx: (2, 1)}
+    frontier, rounds = list(terms), 0
+    while True:
+        best: dict[int, list] = {}  # new table -> [least size, its candidates]
 
-        if not fresh:
-            break
+        def offer(t: int, op: str, a: int, b: int) -> None:
+            s = _measure(op, measures[a], measures[b])[0]
+            if t not in best or s < best[t][0]:
+                best[t] = [s, {(op, a, b)}]
+            elif s == best[t][0]:
+                best[t][1].add((op, a, b))
+
+        known = bytes(terms)
+        lanes = int.from_bytes(b"\1" * len(known), "little")
+        packed = int.from_bytes(known, "little")
+        for f in frontier:
+            if _neg(f) not in terms:
+                offer(_neg(f), "~", f, f)
+            # one operation of f with every known g; a shape's flag puts f second
+            for row, shapes in ((_meet(f * lanes, packed, lanes), (("&", 0), ("&", 1))),
+                                (_join(f * lanes, packed, lanes), (("|", 0), ("|", 1))),
+                                (_compose(f, packed, lanes), (("o", 0),)),
+                                (_precompose(packed, f, lanes), (("o", 1),))):
+                row = row.to_bytes(len(known), "little")
+                for t in set(row).difference(terms):
+                    j = row.find(t)
+                    while j >= 0:
+                        for op, f_second in shapes:
+                            offer(t, op, *((known[j], f) if f_second else (f, known[j])))
+                        j = row.find(t, j + 1)
+        if not best:
+            return terms, measures, rounds
         rounds += 1
-        if len(known) + len(fresh) > budget:
-            raise ClosureBudgetError(len(known) + len(fresh), budget)
-        additions = sorted(fresh.items(), key=lambda kv: _term_key(kv[1]))
-        for table, term in additions:
-            known[table] = term
-        frontier = additions
-    return ClosureResult(known, rounds)
+        chosen = {}  # new table -> (size, printed term, term)
+        for t, (s, candidates) in best.items():
+            printed = {}  # equal sizes are ordered by the printed term
+            for op, a, b in candidates:
+                term = _BUILD[op](terms[a], terms[b])
+                printed[format_formula(term)] = term, _measure(op, measures[a], measures[b])
+            text = min(printed)
+            chosen[t] = s, text, printed[text][0]
+            measures[t] = printed[text][1]
+        frontier = sorted(chosen, key=lambda t: chosen[t][:2])
+        terms.update((t, chosen[t][2]) for t in frontier)
 
 
-_closure_cache: dict[int, ClosureResult] = {}
+# the term of a candidate (op, a, b), from the terms of a and b
+_BUILD = {"~": lambda a, _: Neg(a), "o": lambda a, b: substitute(a, "x", b), "&": And, "|": Or}
 
 
-def _closure(budget: int = 256) -> ClosureResult:
-    if budget not in _closure_cache:
-        _closure_cache[budget] = unary_clone_closure(budget)
-    return _closure_cache[budget]
+def _measure(op: str, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """(size, number of x) of a candidate's term, from those of a and b."""
+    (size_a, xs_a), (size_b, xs_b) = a, b
+    if op == "~":
+        return size_a + 1, xs_a
+    if op == "o":  # every x of the outer term becomes the inner term
+        return size_a + xs_a * (size_b - 1), xs_a * xs_b
+    return size_a + size_b + 1, xs_a + xs_b
 
 
-def find_term_for_unary(target: UnaryTable, budget: int = 256) -> Formula | None:
-    """A witness term for ``target`` from the closure, or None."""
-    return _closure(budget).witnesses.get(target)
+@functools.cache
+def _closure() -> ClosureResult:
+    return unary_clone_closure()
+
+
+def find_term_for_unary(target: UnaryTable) -> Formula:
+    """The closure's witness term for ``target`` (it has every table)."""
+    return _closure().witnesses[target]
 
 
 # --------------------------------------------------------------------------
@@ -306,24 +346,6 @@ def is_essentially_binary(f: BinaryTable) -> bool:
     return depends_on_left(f) and depends_on_right(f)
 
 
-def is_unary_reducible(f: BinaryTable,
-                       tables: Iterable[UnaryTable] | None = None) -> bool:
-    """Literal reducibility check: does some unary g tabulate f?
-
-    Quantifies g over all 256 unary tables (or a supplied collection);
-    kept as an independent cross-check of :func:`is_essentially_binary`.
-    """
-    if tables is None:
-        tables = all_unary_tables()
-    values = CANONICAL_ORDER
-    for g in tables:
-        if all(f.apply(a, b) == g.apply(a) for a in values for b in values):
-            return True
-        if all(f.apply(a, b) == g.apply(b) for a in values for b in values):
-            return True
-    return False
-
-
 def is_surjective(f: BinaryTable) -> bool:
     return set(f.outputs) == set(CANONICAL_ORDER)
 
@@ -343,8 +365,8 @@ class SlupeckiReport:
         return self.unary_complete and self.surjective and self.essentially_binary
 
 
-def slupecki_check(budget: int = 256) -> SlupeckiReport:
-    closure = _closure(budget)
+def slupecki_check() -> SlupeckiReport:
+    closure = _closure()
     return SlupeckiReport(
         closure_size=closure.size,
         unary_complete=closure.size == 256,

@@ -24,6 +24,12 @@ from .matrix import DEFAULT_CAP, is_consequence
 
 DEFAULT_DEPTH = 6
 
+#: Most nodes on a path from the root of a proof file.  Checking takes
+#: about two interpreter frames per level and comparing conclusions three
+#: per formula level, so a proof at this bound whose formulas are at
+#: :data:`~cnl4.formula.MAX_DEPTH` still checks within the recursion limit.
+MAX_PROOF_DEPTH = 100
+
 
 class Rule(Enum):
     HYP = "Hyp"
@@ -354,11 +360,9 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
 def soundness_check(d: Derivation, cap: int = DEFAULT_CAP) -> bool:
     """True iff ``d`` checks and its sequent is matrix-valid."""
     try:
-        seq = check(d)
+        return is_consequence(derivation_sequent(d), cap).valid
     except DerivationError:
         return False
-    premises = tuple(sorted(seq.open_assumptions, key=format_formula))
-    return is_consequence(Sequent(premises, seq.conclusion), cap).valid
 
 
 def derivation_sequent(d: Derivation) -> Sequent:
@@ -546,9 +550,16 @@ def to_json_dict(d: Derivation) -> dict:
 def from_json_dict(obj: object) -> Derivation:
     """Build a derivation from the JSON tree format.
 
-    Raises :class:`ProofFormatError` for structural problems; formula
-    text is parsed with the usual grammar.
+    Raises :class:`ProofFormatError` for structural problems, including a
+    tree deeper than :data:`MAX_PROOF_DEPTH`; formula text is parsed with
+    the usual grammar.
     """
+    return _from_json(obj, 1)
+
+
+def _from_json(obj: object, depth: int) -> Derivation:
+    if depth > MAX_PROOF_DEPTH:
+        raise ProofFormatError(f"proof nested deeper than {MAX_PROOF_DEPTH} levels")
     if not isinstance(obj, dict):
         raise ProofFormatError("proof node must be a JSON object")
     try:
@@ -559,7 +570,9 @@ def from_json_dict(obj: object) -> Derivation:
         raise ProofFormatError(f"unknown rule {obj['rule']!r}") from None
     if "conclusion" not in obj:
         raise ProofFormatError("proof node is missing 'conclusion'")
-    conclusion = parse(str(obj["conclusion"]))
+    if not isinstance(obj["conclusion"], str):
+        raise ProofFormatError("'conclusion' must be a string")
+    conclusion = parse(obj["conclusion"])
     premises = obj.get("premises", [])
     if not isinstance(premises, list):
         raise ProofFormatError("'premises' must be an array")
@@ -582,7 +595,7 @@ def from_json_dict(obj: object) -> Derivation:
     elif "label" in obj:
         raise ProofFormatError(f"{rule.value} must not carry 'label'")
     return Derivation(rule, conclusion,
-                      tuple(from_json_dict(p) for p in premises),
+                      tuple(_from_json(p, depth + 1) for p in premises),
                       discharge=discharge, label=label)
 
 

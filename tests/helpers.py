@@ -15,8 +15,9 @@ from itertools import product
 
 from hypothesis import strategies as st
 
+from cnl4.fc import BinaryTable, UnaryTable
 from cnl4.formula import And, Atom, Formula, Neg, Or, Sequent, sequent_variables, variables
-from cnl4.matrix import DESIGNATED, WITNESS_ORDER, evaluate, interpretations
+from cnl4.matrix import CANONICAL_ORDER, DESIGNATED, WITNESS_ORDER, evaluate, interpretations
 from cnl4.relational import (
     Mismatch,
     OptionReading,
@@ -122,3 +123,37 @@ def deep_formula_texts(depth: int) -> dict[str, str]:
         "parenthesised right chain": "p | (" * (depth - 1) + "p | q" + ")" * (depth - 1),
         "negated chain": "~(" + " & ".join("pq"[k % 2] for k in range(depth)) + ")",
     }
+
+
+def and_elim_chain(levels: int, top: int = 0) -> str:
+    """JSON text of a valid derivation ``levels`` nodes deep: a chain of
+    AndE_L whose root concludes a left chain of ``top`` conjunctions over
+    ``p``, each premise conjoining one more ``p``, down to a Hyp.  Built as
+    text, since the JSON encoder recurses per level."""
+    def conj(k: int) -> str:
+        return " & ".join(["p"] * (k + 1))
+
+    head = "".join(f'{{"rule": "AndE_L", "conclusion": "{conj(top + k)}", "premises": ['
+                   for k in range(levels - 1))
+    foot = f'{{"rule": "Hyp", "label": "a", "conclusion": "{conj(top + levels - 1)}"}}'
+    return head + foot + "]}" * (levels - 1)
+
+
+def all_unary_tables() -> list[UnaryTable]:
+    """All 256 unary functions on the four-element carrier."""
+    return [UnaryTable(outs) for outs in product(CANONICAL_ORDER, repeat=4)]
+
+
+def is_unary_reducible(f: BinaryTable, tables=None) -> bool:
+    """Literal reducibility check: does some unary g tabulate f?
+
+    Quantifies g over all 256 unary tables (or a supplied collection);
+    an independent cross-check of ``fc.is_essentially_binary``.
+    """
+    values = CANONICAL_ORDER
+    for g in all_unary_tables() if tables is None else tables:
+        if all(f.apply(a, b) == g.apply(a) for a in values for b in values):
+            return True
+        if all(f.apply(a, b) == g.apply(b) for a in values for b in values):
+            return True
+    return False

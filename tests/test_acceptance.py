@@ -36,7 +36,6 @@ from cnl4.fc import (
     fn_of_unary_term,
     is_essentially_binary,
     is_surjective,
-    is_unary_reducible,
     slupecki_check,
     unary_clone_closure,
     verify_delta_c,
@@ -69,7 +68,7 @@ from cnl4.relational import (
     rel_consequence,
     rel_eval,
 )
-from helpers import random_formula, random_sequent
+from helpers import is_unary_reducible, random_formula, random_sequent
 
 V1, VI, VJ, V0 = Value.V1, Value.VI, Value.VJ, Value.V0
 

@@ -13,8 +13,8 @@ import pytest
 
 from cnl4.cli import run
 from cnl4.formula import MAX_DEPTH
-from cnl4.nd import check, corpus, from_json_dict, to_json_dict
-from helpers import deep_formula_texts
+from cnl4.nd import MAX_PROOF_DEPTH, check, corpus, from_json_dict, to_json_dict
+from helpers import and_elim_chain, deep_formula_texts
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -260,6 +260,29 @@ def test_check_proof_unknown_rule(capsys, tmp_path) -> None:
     assert "Zap" in err
 
 
+@pytest.mark.parametrize("output", [[], ["--format", "json"]], ids=["text", "json"])
+def test_check_proof_succeeds_at_the_proof_depth_bound(capsys, tmp_path, output) -> None:
+    # the Hyp at the foot concludes a formula at the formula depth bound
+    path = tmp_path / "deep.json"
+    path.write_text(and_elim_chain(MAX_PROOF_DEPTH, MAX_DEPTH - MAX_PROOF_DEPTH + 1))
+    code, _, err = invoke(capsys, "check-proof", str(path), *output)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("output", [[], ["--format", "json"]], ids=["text", "json"])
+@pytest.mark.parametrize("text, message", [
+    (and_elim_chain(MAX_PROOF_DEPTH + 1), f"proof nested deeper than {MAX_PROOF_DEPTH} levels"),
+    (and_elim_chain(3000), "proof file nested too deeply to read"),
+    ("[" * 100_000 + "]" * 100_000, "proof file nested too deeply to read"),
+], ids=["bound+1", "3000-deep chain", "nested arrays"])
+def test_check_proof_refuses_deep_files(capsys, tmp_path, output, text, message) -> None:
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "check-proof", str(path), *output)
+    assert code == 3 and out == ""
+    assert err == f"cnl4: proof format error: {message}\n"
+
+
 def test_check_proof_missing_file(capsys, tmp_path) -> None:
     code, _, err = invoke(capsys, "check-proof", str(tmp_path / "nope.json"))
     assert code == 3
@@ -346,10 +369,14 @@ def test_fc_closure(capsys) -> None:
     assert "complete: yes" in out
 
 
-def test_fc_closure_budget_too_small(capsys) -> None:
-    code, _, err = invoke(capsys, "fc", "closure", "--budget", "100")
-    assert code == 3
-    assert "budget" in err
+def test_fc_budget_flag_is_refused(capsys) -> None:
+    # the closure always has all 256 tables, so there is no budget to set
+    for argv in (["fc", "closure", "--budget", "100"],
+                 ["fc", "find", "--target", "t:t,b:b,n:n,f:f", "--budget", "256"]):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "unrecognized arguments: --budget" in err
 
 
 def test_fc_find_identity(capsys) -> None:

@@ -12,9 +12,10 @@ import random
 
 import pytest
 
-from cnl4.formula import And, Atom, Neg, Or, ParseError, format_sequent, parse_sequent
+from cnl4.formula import And, Atom, Neg, Or, ParseError, format_sequent, parse, parse_sequent
 from cnl4.nd import (
     DISCHARGING_RULES,
+    MAX_PROOF_DEPTH,
     CorpusEntry,
     Derivation,
     DerivationError,
@@ -40,7 +41,7 @@ from cnl4.nd import (
     soundness_check,
     to_json_dict,
 )
-from helpers import random_sequent
+from helpers import and_elim_chain, random_sequent
 
 P, Q = Atom("p"), Atom("q")
 
@@ -407,6 +408,19 @@ def test_json_discharge_shape() -> None:
 def test_from_json_dict_rejects_malformed_input(obj) -> None:
     with pytest.raises(ProofFormatError):
         from_json_dict(obj)
+
+
+@pytest.mark.parametrize("conclusion", [5, ["p"], None])
+def test_from_json_dict_requires_string_conclusions(conclusion) -> None:
+    with pytest.raises(ProofFormatError, match="'conclusion' must be a string"):
+        from_json_dict({"rule": "NN2", "conclusion": conclusion, "premises": []})
+
+
+def test_from_json_dict_bounds_proof_depth() -> None:
+    chain = json.loads(and_elim_chain(MAX_PROOF_DEPTH))
+    assert check(from_json_dict(chain)).conclusion == parse("p")
+    with pytest.raises(ProofFormatError, match=f"deeper than {MAX_PROOF_DEPTH} levels"):
+        from_json_dict({"rule": "AndE_L", "conclusion": "p", "premises": [chain]})
 
 
 def test_from_json_dict_propagates_formula_parse_errors() -> None:
