@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 from .fc import (
@@ -70,23 +69,6 @@ from .relational import (
 )
 
 
-@dataclass(frozen=True)
-class Config:
-    """Resolved run configuration.  ``var_cap`` comes from --cap, then the
-    CNL4_CAP environment variable, then the default."""
-
-    var_cap: int = DEFAULT_CAP
-    search_depth: int = DEFAULT_DEPTH
-    output_format: str = "text"
-    option: str = "O1"
-
-    def __post_init__(self) -> None:
-        if self.var_cap < 1:
-            raise UsageError("cap must be at least 1")
-        if self.search_depth < 1:
-            raise UsageError("depth must be at least 1")
-
-
 class UsageError(Exception):
     """Bad invocation: reported on stderr with exit code 3."""
 
@@ -100,41 +82,39 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _config_from(args: argparse.Namespace) -> Config:
-    cap, env = getattr(args, "cap", None), os.environ.get("CNL4_CAP")
-    if cap is None and env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise UsageError(f"CNL4_CAP must be an integer, got {env!r}") from None
-    depth = getattr(args, "depth", None)
-    return Config(
-        var_cap=DEFAULT_CAP if cap is None else cap,
-        search_depth=DEFAULT_DEPTH if depth is None else depth,
-        output_format=getattr(args, "format", "text"),
-        option=getattr(args, "option", None) or "O1",
-    )
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Check the verb's settings in place.  A verb with --cap takes the cap
+    from the flag, then the CNL4_CAP environment variable, then the
+    default; no other verb reads CNL4_CAP."""
+    if "cap" in args:
+        if args.cap is None:
+            env = os.environ.get("CNL4_CAP")
+            try:
+                args.cap = DEFAULT_CAP if env is None else int(env)
+            except ValueError:
+                raise UsageError(f"CNL4_CAP must be an integer, got {env!r}") from None
+        if args.cap < 1:
+            raise UsageError("cap must be at least 1")
+    if "depth" in args and args.depth < 1:
+        raise UsageError("depth must be at least 1")
 
 
 def _emit_json(obj: object) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _value_str(v: Value, args: argparse.Namespace, cfg: Config) -> str:
-    if getattr(args, "fde", False):
-        return get_option(cfg.option).value_map[v].value
+def _value_str(v: Value, args: argparse.Namespace) -> str:
+    if args.fde:
+        return get_option(args.option or "O1").value_map[v].value
     return v.value
 
 
-def _assignment_str(inter: dict[str, Value], args: argparse.Namespace,
-                    cfg: Config) -> str:
-    return ", ".join(f"{name}={_value_str(inter[name], args, cfg)}"
-                     for name in sorted(inter))
+def _assignment_str(inter: dict[str, Value], args: argparse.Namespace) -> str:
+    return ", ".join(f"{name}={_value_str(inter[name], args)}" for name in sorted(inter))
 
 
-def _assignment_json(inter: dict[str, Value], args: argparse.Namespace,
-                     cfg: Config) -> dict[str, str]:
-    return {name: _value_str(v, args, cfg) for name, v in inter.items()}
+def _assignment_json(inter: dict[str, Value], args: argparse.Namespace) -> dict[str, str]:
+    return {name: _value_str(v, args) for name, v in inter.items()}
 
 
 def _tree(f: Formula) -> dict:
@@ -151,9 +131,9 @@ def _tree(f: Formula) -> dict:
 # --------------------------------------------------------------------------
 # Subcommands
 
-def cmd_parse(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_parse(args: argparse.Namespace) -> int:
     f = parse(args.formula)
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({"formula": format_formula(f), "variables": variables(f),
                     "tree": _tree(f)})
     else:
@@ -175,68 +155,68 @@ def _parse_bindings(pairs: list[str]) -> dict[str, Value]:
     return assignment
 
 
-def cmd_eval(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     assignment = _parse_bindings(args.bindings)
     value = evaluate(f, assignment)
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({"formula": format_formula(f),
-                    "assignment": _assignment_json(assignment, args, cfg),
-                    "value": _value_str(value, args, cfg)})
+                    "assignment": _assignment_json(assignment, args),
+                    "value": _value_str(value, args)})
     else:
-        print(_value_str(value, args, cfg))
+        print(_value_str(value, args))
     return 0
 
 
-def cmd_truthtable(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_truthtable(args: argparse.Namespace) -> int:
     f = parse(args.formula)
-    rows = truth_table(f, cfg.var_cap)
+    rows = truth_table(f, args.cap)
     names = variables(f)
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({"formula": format_formula(f), "variables": names,
-                    "rows": [{"assignment": _assignment_json(inter, args, cfg),
-                              "value": _value_str(value, args, cfg)}
+                    "rows": [{"assignment": _assignment_json(inter, args),
+                              "value": _value_str(value, args)}
                              for inter, value in rows]})
     else:
         print(" ".join(names) + " | " + format_formula(f))
         for inter, value in rows:
-            cells = " ".join(_value_str(inter[name], args, cfg) for name in names)
-            print(cells + " | " + _value_str(value, args, cfg))
+            cells = " ".join(_value_str(inter[name], args) for name in names)
+            print(cells + " | " + _value_str(value, args))
     return 0
 
 
-def cmd_conseq(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_conseq(args: argparse.Namespace) -> int:
     s = parse_sequent(args.sequent)
-    verdict = is_consequence(s, cfg.var_cap)
-    if cfg.output_format == "json":
+    verdict = is_consequence(s, args.cap)
+    if args.format == "json":
         _emit_json({"sequent": format_sequent(s), "valid": verdict.valid,
                     "countermodel": (None if verdict.witness is None
-                                     else _assignment_json(verdict.witness, args, cfg)),
+                                     else _assignment_json(verdict.witness, args)),
                     "checked": verdict.checked})
     elif verdict.valid:
         print("valid")
     else:
         assert verdict.witness is not None
         print("invalid")
-        print("countermodel: " + _assignment_str(verdict.witness, args, cfg))
+        print("countermodel: " + _assignment_str(verdict.witness, args))
     return 0 if verdict.valid else 1
 
 
-def cmd_countermodel(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_countermodel(args: argparse.Namespace) -> int:
     s = parse_sequent(args.sequent)
-    witness = countermodel(s, cfg.var_cap)
-    if cfg.output_format == "json":
+    witness = countermodel(s, args.cap)
+    if args.format == "json":
         _emit_json({"sequent": format_sequent(s),
                     "countermodel": (None if witness is None
-                                     else _assignment_json(witness, args, cfg))})
+                                     else _assignment_json(witness, args))})
     elif witness is None:
         print("none (sequent is valid)")
     else:
-        print(_assignment_str(witness, args, cfg))
+        print(_assignment_str(witness, args))
     return 0 if witness is None else 1
 
 
-def cmd_check_proof(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_check_proof(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -246,7 +226,7 @@ def cmd_check_proof(args: argparse.Namespace, cfg: Config) -> int:
     try:
         checked = check(derivation)
     except DerivationError as exc:
-        if cfg.output_format == "json":
+        if args.format == "json":
             _emit_json({"ok": False,
                         "error": {"rule": exc.rule.value if exc.rule else None,
                                   "path": list(exc.path),
@@ -255,7 +235,7 @@ def cmd_check_proof(args: argparse.Namespace, cfg: Config) -> int:
             print(f"check failed: {exc}", file=sys.stderr)
         return 2
     open_assumptions = sorted(format_formula(f) for f in checked.open_assumptions)
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({"ok": True, "conclusion": format_formula(checked.conclusion),
                     "open_assumptions": open_assumptions})
     else:
@@ -268,25 +248,25 @@ def cmd_check_proof(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def cmd_search_proof(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_search_proof(args: argparse.Namespace) -> int:
     s = parse_sequent(args.sequent)
-    derivation = search(s, cfg.search_depth)
+    derivation = search(s, args.depth)
     if derivation is None:
-        if cfg.output_format == "json":
-            _emit_json({"found": False, "depth": cfg.search_depth})
+        if args.format == "json":
+            _emit_json({"found": False, "depth": args.depth})
         else:
-            print(f"no derivation found within depth {cfg.search_depth}")
+            print(f"no derivation found within depth {args.depth}")
         return 2
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({"found": True, "derivation": to_json_dict(derivation)})
     else:
         print(render_derivation(derivation))
     return 0
 
 
-def cmd_corpus(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_corpus(args: argparse.Namespace) -> int:
     entries = corpus()
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json([{"name": e.name,
                      "sequent": format_sequent(derivation_sequent(e.derivation)),
                      "derivation": to_json_dict(e.derivation)}
@@ -297,9 +277,9 @@ def cmd_corpus(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def cmd_fc_verify(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_fc_verify(args: argparse.Namespace) -> int:
     report = verify_delta_c()
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({"ok": report.ok,
                     "checks": [{"term": c.term_name, "argument": c.argument.value,
                                 "expected": c.expected.value, "actual": c.actual.value,
@@ -317,10 +297,10 @@ def cmd_fc_verify(args: argparse.Namespace, cfg: Config) -> int:
     return 0 if report.ok else 2
 
 
-def cmd_fc_closure(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_fc_closure(args: argparse.Namespace) -> int:
     result = unary_clone_closure()
     complete = result.size == 256
-    if cfg.output_format == "json":
+    if args.format == "json":
         witnesses = sorted(result.witnesses.items(), key=lambda kv: str(kv[0]))
         _emit_json({"size": result.size, "rounds": result.rounds,
                     "complete": complete,
@@ -356,10 +336,10 @@ def _transport_table(option_id: str, mapping: dict[FdeValue, FdeValue]) -> Unary
     return UnaryTable(tuple(inverse[mapping[option.value_map[v]]] for v in CANONICAL_ORDER))
 
 
-def cmd_fc_find(args: argparse.Namespace, cfg: Config) -> int:
-    target = _transport_table(cfg.option, _parse_fde_table(args.target))
+def cmd_fc_find(args: argparse.Namespace) -> int:
+    target = _transport_table(args.option or "O1", _parse_fde_table(args.target))
     term = format_formula(find_term_for_unary(target))
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({"found": True, "target": str(target), "term": term})
     else:
         print(term)
@@ -367,9 +347,9 @@ def cmd_fc_find(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def cmd_options_table(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_options_table(args: argparse.Namespace) -> int:
     ids = [args.option] if args.option else list(OPTIONS)
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit_json({option_id: option_table_lines(get_option(option_id))
                     for option_id in ids})
     else:
@@ -383,11 +363,11 @@ def cmd_options_table(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def cmd_options_compare(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_options_compare(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     ids = [args.option] if args.option else list(OPTIONS)
-    reports = [check_option_equivalence(get_option(i), f, cfg.var_cap) for i in ids]
-    if cfg.output_format == "json":
+    reports = [check_option_equivalence(get_option(i), f, args.cap) for i in ids]
+    if args.format == "json":
         _emit_json([{"option": r.option_id, "ok": r.ok, "checked": r.checked,
                      "mismatches": [{"interpretation":
                                      {k: v.value for k, v in m.interpretation.items()},
@@ -410,114 +390,80 @@ def cmd_options_compare(args: argparse.Namespace, cfg: Config) -> int:
 # --------------------------------------------------------------------------
 # Parser construction and dispatch
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default text)")
-
-
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=None, metavar="N",
-                   help="variable cap for enumeration (default 10, "
-                        "or CNL4_CAP)")
-
-
-def _add_option(p: argparse.ArgumentParser, with_fde: bool = False) -> None:
-    p.add_argument("--option", choices=tuple(OPTIONS), default=None,
-                   help="option reading (default O1)")
-    if with_fde:
-        p.add_argument("--fde", action="store_true",
-                       help="print values as t/b/n/f via the option's map")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="cnl4",
-                             description="four-valued logic workbench")
+    # flag groups shared by the verbs; each verb lists them in its help order
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text",
+                     help="output format (default text)")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=None, metavar="N",
+                     help="variable cap for enumeration (default 10, or CNL4_CAP)")
+    option = argparse.ArgumentParser(add_help=False)
+    option.add_argument("--option", choices=tuple(OPTIONS), default=None,
+                        help="option reading (default O1)")
+    option_fde = argparse.ArgumentParser(add_help=False, parents=[option])
+    option_fde.add_argument("--fde", action="store_true",
+                            help="print values as t/b/n/f via the option's map")
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="N",
+                       help="maximum derivation height (default 6)")
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--target", required=True, metavar="t:_,b:_,n:_,f:_",
+                        help="target table in t/b/n/f names, e.g. t:f,b:b,n:n,f:t")
+
+    def verb(group, name: str, summary: str, func, parents: list, *positionals: str):
+        p = group.add_parser(name, help=summary, parents=parents)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
+
+    parser = _ArgumentParser(prog="cnl4", description="four-valued logic workbench")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("parse", help="parse a formula and reprint it")
-    p.add_argument("formula")
-    _add_format(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("eval", help="evaluate a formula under bindings like p=1")
-    p.add_argument("formula")
+    verb(sub, "parse", "parse a formula and reprint it", cmd_parse, [fmt], "formula")
+    p = verb(sub, "eval", "evaluate a formula under bindings like p=1", cmd_eval,
+             [fmt, option_fde], "formula")
     p.add_argument("bindings", nargs="*", metavar="name=value")
-    _add_format(p)
-    _add_option(p, with_fde=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("truthtable", help="print the full truth table")
-    p.add_argument("formula")
-    _add_format(p)
-    _add_cap(p)
-    _add_option(p, with_fde=True)
-    p.set_defaults(func=cmd_truthtable)
-
-    p = sub.add_parser("conseq", help="check a sequent like 'p, q |- p & q'")
-    p.add_argument("sequent")
-    _add_format(p)
-    _add_cap(p)
-    _add_option(p, with_fde=True)
-    p.set_defaults(func=cmd_conseq)
-
-    p = sub.add_parser("countermodel", help="print the first countermodel, if any")
-    p.add_argument("sequent")
-    _add_format(p)
-    _add_cap(p)
-    _add_option(p, with_fde=True)
-    p.set_defaults(func=cmd_countermodel)
-
-    p = sub.add_parser("check-proof", help="check a JSON proof file")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(func=cmd_check_proof)
-
-    p = sub.add_parser("search-proof", help="bounded proof search for a sequent")
-    p.add_argument("sequent")
-    p.add_argument("--depth", type=int, default=None, metavar="N",
-                   help="maximum derivation height (default 6)")
-    _add_format(p)
-    p.set_defaults(func=cmd_search_proof)
-
-    p = sub.add_parser("corpus", help="list the bundled derivations")
-    _add_format(p)
-    p.set_defaults(func=cmd_corpus)
+    verb(sub, "truthtable", "print the full truth table", cmd_truthtable,
+         [fmt, cap, option_fde], "formula")
+    verb(sub, "conseq", "check a sequent like 'p, q |- p & q'", cmd_conseq,
+         [fmt, cap, option_fde], "sequent")
+    verb(sub, "countermodel", "print the first countermodel, if any", cmd_countermodel,
+         [fmt, cap, option_fde], "sequent")
+    verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof, [fmt], "file")
+    verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
+         [depth, fmt], "sequent")
+    verb(sub, "corpus", "list the bundled derivations", cmd_corpus, [fmt])
 
     p = sub.add_parser("fc", help="functional completeness tools")
-    fc_sub = p.add_subparsers(dest="fc_command", required=True, metavar="subcommand")
-
-    q = fc_sub.add_parser("verify", help="check the delta/C defining terms")
-    _add_format(q)
-    q.set_defaults(func=cmd_fc_verify)
-
-    q = fc_sub.add_parser("closure", help="compute the unary clone closure")
-    _add_format(q)
-    q.set_defaults(func=cmd_fc_closure)
-
-    q = fc_sub.add_parser("find", help="find a term for a unary table")
-    q.add_argument("--target", required=True, metavar="t:_,b:_,n:_,f:_",
-                   help="target table in t/b/n/f names, e.g. t:f,b:b,n:n,f:t")
-    _add_format(q)
-    _add_option(q)
-    q.set_defaults(func=cmd_fc_find)
+    fc = p.add_subparsers(dest="fc_command", required=True, metavar="subcommand")
+    verb(fc, "verify", "check the delta/C defining terms", cmd_fc_verify, [fmt])
+    verb(fc, "closure", "compute the unary clone closure", cmd_fc_closure, [fmt])
+    verb(fc, "find", "find a term for a unary table", cmd_fc_find, [target, fmt, option])
 
     p = sub.add_parser("options", help="option-reading tables and comparisons")
-    opt_sub = p.add_subparsers(dest="options_command", required=True,
-                               metavar="subcommand")
-
-    q = opt_sub.add_parser("table", help="print an option's connective tables")
-    _add_format(q)
-    _add_option(q)
-    q.set_defaults(func=cmd_options_table)
-
-    q = opt_sub.add_parser("compare", help="compare matrix and clause evaluation")
-    q.add_argument("formula")
-    _add_format(q)
-    _add_cap(q)
-    _add_option(q)
-    q.set_defaults(func=cmd_options_compare)
-
+    options = p.add_subparsers(dest="options_command", required=True, metavar="subcommand")
+    verb(options, "table", "print an option's connective tables", cmd_options_table,
+         [fmt, option])
+    verb(options, "compare", "compare matrix and clause evaluation", cmd_options_compare,
+         [fmt, cap, option], "formula")
     return parser
+
+
+#: How ``run`` reports an error a verb raises: the first row whose type
+#: matches gives the message label and the exit code.  A JSONDecodeError
+#: is also a ValueError, so its row comes first.
+_ERRORS: tuple[tuple[type[Exception], str, int], ...] = (
+    (ParseError, "parse error", 3),
+    (ProofFormatError, "proof format error", 3),
+    (json.JSONDecodeError, "proof file is not valid JSON", 3),
+    (OSError, "cannot read input", 3),
+    (DerivationError, "check failed", 2),
+    (UsageError, "error", 3),
+    (CapExceededError, "error", 3),
+    (UnboundVariableError, "error", 3),
+    (ValueError, "error", 3),
+)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -528,26 +474,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        cfg = _config_from(args)
-        return args.func(args, cfg)
-    except ParseError as exc:
-        print(f"cnl4: parse error: {exc}", file=sys.stderr)
-        return 3
-    except ProofFormatError as exc:
-        print(f"cnl4: proof format error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
-        print(f"cnl4: proof file is not valid JSON: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"cnl4: cannot read input: {exc}", file=sys.stderr)
-        return 3
-    except DerivationError as exc:
-        print(f"cnl4: check failed: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, CapExceededError, UnboundVariableError, ValueError) as exc:
-        print(f"cnl4: error: {exc}", file=sys.stderr)
-        return 3
+        _resolve_settings(args)
+        return args.func(args)
+    except tuple(kind for kind, _, _ in _ERRORS) as exc:
+        label, code = next((label, code) for kind, label, code in _ERRORS
+                           if isinstance(exc, kind))
+        print(f"cnl4: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

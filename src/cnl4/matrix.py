@@ -188,15 +188,30 @@ def truth_table(f: Formula, cap: int = DEFAULT_CAP) -> list[tuple[dict[str, Valu
 class Verdict:
     """Outcome of a consequence check.
 
-    ``witness`` is the first countermodel in scan order
-    :data:`WITNESS_ORDER` or ``None`` when the sequent is valid;
-    ``checked`` is the index of that countermodel + 1, or ``4 ** n`` for
-    a valid sequent over ``n`` variables.
+    ``witness`` is the first countermodel in scan order, each variable's
+    value named by the semantics (matrix values, or truth sets for an
+    option reading), or ``None`` when the sequent is valid; ``checked``
+    is the index of that countermodel + 1, or ``4 ** n`` for a valid
+    sequent over ``n`` variables.
     """
 
     valid: bool
-    witness: dict[str, Value] | None
+    witness: dict | None
     checked: int
+
+
+def scan_consequence(s: Sequent, cap: int, clauses: Clauses, values: Sequence) -> Verdict:
+    """Scan the interpretations of ``s`` under ``clauses`` for the first
+    countermodel, a block at a time; scan digit ``d`` names ``values[d]``.
+
+    Raises :class:`CapExceededError` when more than ``cap`` variables occur.
+    """
+    program = compile_within_cap([*s.premises, s.conclusion], cap)
+    digits, checked = program.first_countermodel(clauses)
+    if digits is None:
+        return Verdict(valid=True, witness=None, checked=checked)
+    witness = {name: values[d] for name, d in zip(program.names, digits)}
+    return Verdict(valid=False, witness=witness, checked=checked)
 
 
 def is_consequence(s: Sequent, cap: int = DEFAULT_CAP) -> Verdict:
@@ -206,12 +221,7 @@ def is_consequence(s: Sequent, cap: int = DEFAULT_CAP) -> Verdict:
     ``checked`` is the index of the first countermodel + 1, or ``4 ** n``
     when there is none; the scan stops in the block holding it.
     """
-    program = compile_within_cap([*s.premises, s.conclusion], cap)
-    digits, checked = program.first_countermodel(matrix_clauses(WITNESS_ORDER))
-    if digits is None:
-        return Verdict(valid=True, witness=None, checked=checked)
-    witness = {name: WITNESS_ORDER[d] for name, d in zip(program.names, digits)}
-    return Verdict(valid=False, witness=witness, checked=checked)
+    return scan_consequence(s, cap, matrix_clauses(WITNESS_ORDER), WITNESS_ORDER)
 
 
 def countermodel(s: Sequent, cap: int = DEFAULT_CAP) -> dict[str, Value] | None:
@@ -220,18 +230,18 @@ def countermodel(s: Sequent, cap: int = DEFAULT_CAP) -> dict[str, Value] | None:
 
 
 def render_table_lines(neg_table: Mapping, and_table: Mapping, or_table: Mapping,
-                       order: Sequence, symbol=str) -> list[str]:
+                       order: Sequence) -> list[str]:
     """Render the three connective tables as ``op lhs [rhs] result`` lines.
 
     Unary rows come first, then the two binary tables row-major in
     ``order``.  Shared by the matrix and the option-reading tables, which
     differ only in their value sets.
     """
-    lines = [f"~ {symbol(a)} {symbol(neg_table[a])}" for a in order]
+    lines = [f"~ {a} {neg_table[a]}" for a in order]
     for op, table in (("&", and_table), ("|", or_table)):
         for a in order:
             for b in order:
-                lines.append(f"{op} {symbol(a)} {symbol(b)} {symbol(table[(a, b)])}")
+                lines.append(f"{op} {a} {b} {table[(a, b)]}")
     return lines
 
 

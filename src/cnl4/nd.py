@@ -30,6 +30,13 @@ DEFAULT_DEPTH = 6
 #: :data:`~cnl4.formula.MAX_DEPTH` still checks within the recursion limit.
 MAX_PROOF_DEPTH = 100
 
+#: Largest search depth :func:`search` accepts.  Search recurses once per
+#: level, and comparing formulas that differ only at their deepest atom
+#: takes three frames per formula level, so a search at this bound over
+#: formulas at :data:`~cnl4.formula.MAX_DEPTH` still completes within the
+#: recursion limit, with room for the caller's frames.
+MAX_SEARCH_DEPTH = 200
+
 
 class Rule(Enum):
     HYP = "Hyp"
@@ -380,8 +387,11 @@ def search(s: Sequent, depth: int = DEFAULT_DEPTH) -> Derivation | None:
 
     Deterministic: assumption order and a fixed rule order decide the
     result.  ``None`` means no derivation was found within the bound, not
-    that none exists.
+    that none exists.  Raises ``ValueError`` when ``depth`` exceeds
+    :data:`MAX_SEARCH_DEPTH`.
     """
+    if depth > MAX_SEARCH_DEPTH:
+        raise ValueError(f"search depth {depth} exceeds the bound of {MAX_SEARCH_DEPTH}")
     assumptions: list[tuple[str, Formula]] = []
     seen: set[Formula] = set()
     for i, p in enumerate(s.premises):

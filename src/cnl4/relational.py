@@ -37,9 +37,11 @@ from .matrix import (
     WITNESS_ORDER,
     UnboundVariableError,
     Value,
+    Verdict,
     compile_within_cap,
     matrix_clauses,
     render_table_lines,
+    scan_consequence,
 )
 
 
@@ -241,11 +243,9 @@ def option_clauses(option: OptionReading, order: Sequence[Value]) -> Clauses:
     return Clauses(codes, neg, conj, disj, designated)
 
 
-@dataclass(frozen=True)
-class RelVerdict:
-    valid: bool
-    witness: dict[str, TruthSet] | None
-    checked: int
+#: A relational verdict is a :class:`~cnl4.matrix.Verdict` whose witness
+#: assigns truth sets.
+RelVerdict = Verdict
 
 
 def rel_consequence(option: OptionReading, s: Sequent,
@@ -258,13 +258,8 @@ def rel_consequence(option: OptionReading, s: Sequent,
     countermodel is the translation of the matrix one, and ``checked`` is
     its index + 1, or ``4 ** n`` when there is none.
     """
-    program = compile_within_cap([*s.premises, s.conclusion], cap)
-    digits, checked = program.first_countermodel(option_clauses(option, WITNESS_ORDER))
-    if digits is None:
-        return RelVerdict(valid=True, witness=None, checked=checked)
-    order = [correspond(option, v) for v in WITNESS_ORDER]
-    witness = {name: order[d] for name, d in zip(program.names, digits)}
-    return RelVerdict(valid=False, witness=witness, checked=checked)
+    return scan_consequence(s, cap, option_clauses(option, WITNESS_ORDER),
+                            [correspond(option, v) for v in WITNESS_ORDER])
 
 
 @dataclass(frozen=True)

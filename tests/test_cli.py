@@ -13,7 +13,14 @@ import pytest
 
 from cnl4.cli import run
 from cnl4.formula import MAX_DEPTH
-from cnl4.nd import MAX_PROOF_DEPTH, check, corpus, from_json_dict, to_json_dict
+from cnl4.nd import (
+    MAX_PROOF_DEPTH,
+    MAX_SEARCH_DEPTH,
+    check,
+    corpus,
+    from_json_dict,
+    to_json_dict,
+)
 from helpers import and_elim_chain, deep_formula_texts
 
 
@@ -192,6 +199,21 @@ def test_cap_environment_must_be_integer(capsys, monkeypatch) -> None:
     assert "CNL4_CAP" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "p"], ["eval", "p", "p=1"], ["search-proof", "p |- p"], ["corpus"],
+    ["check-proof", "missing.json"], ["fc", "verify"], ["fc", "closure"],
+    ["fc", "find", "--target", "t:t,b:b,n:n,f:f"], ["options", "table", "--option", "O1"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_cap_environment_is_ignored_without_cap_flag(capsys, monkeypatch, tmp_path,
+                                                      argv) -> None:
+    # only the verbs that take --cap read CNL4_CAP
+    monkeypatch.chdir(tmp_path)
+    expected = invoke(capsys, *argv)
+    for value in ("many", "0"):
+        monkeypatch.setenv("CNL4_CAP", value)
+        assert invoke(capsys, *argv) == expected
+
+
 # ---------------------------------------------------------------------------
 # proofs
 
@@ -322,6 +344,15 @@ def test_search_proof_bad_depth(capsys) -> None:
     code, _, err = invoke(capsys, "search-proof", "p |- p", "--depth", "0")
     assert code == 3
     assert "depth" in err
+
+
+@pytest.mark.parametrize("depth", [MAX_SEARCH_DEPTH + 1, 1100])
+def test_search_proof_refuses_depth_past_the_bound(capsys, depth) -> None:
+    # at depth 1100 this search used to run for over a minute, then crash
+    code, out, err = invoke(capsys, "search-proof", "p | q |- r", "--depth", str(depth))
+    assert (code, out) == (3, "")
+    assert err == (f"cnl4: error: search depth {depth} exceeds the bound of "
+                   f"{MAX_SEARCH_DEPTH}\n")
 
 
 def test_corpus_listing(capsys) -> None:

@@ -12,10 +12,21 @@ import random
 
 import pytest
 
-from cnl4.formula import And, Atom, Neg, Or, ParseError, format_sequent, parse, parse_sequent
+from cnl4.formula import (
+    MAX_DEPTH,
+    And,
+    Atom,
+    Neg,
+    Or,
+    ParseError,
+    format_sequent,
+    parse,
+    parse_sequent,
+)
 from cnl4.nd import (
     DISCHARGING_RULES,
     MAX_PROOF_DEPTH,
+    MAX_SEARCH_DEPTH,
     CorpusEntry,
     Derivation,
     DerivationError,
@@ -306,6 +317,16 @@ def test_search_explosion_at_depth_two() -> None:
 def test_search_depth_bound_is_respected() -> None:
     assert search(parse_sequent("p, ~~p |- q"), depth=1) is None
     assert search(parse_sequent("~p, ~q |- ~(p & q)"), depth=1) is None
+
+
+def test_search_completes_at_the_search_depth_bound() -> None:
+    # every level splits a | b once more, and at the deepest level the goal
+    # is compared with a premise that differs from it only at its deepest atom
+    deep = "~" * MAX_DEPTH
+    sequent = parse_sequent(f"{deep}x, a | b |- {deep}c")
+    assert search(sequent, MAX_SEARCH_DEPTH) is None
+    with pytest.raises(ValueError, match=f"search depth {MAX_SEARCH_DEPTH + 1} exceeds"):
+        search(sequent, MAX_SEARCH_DEPTH + 1)
 
 
 CURATED = (
