@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .formula import And, Atom, Formula, Neg, Or, Sequent, format_formula, parse
-from .matrix import DEFAULT_CAP, is_consequence
+from .matrix import DEFAULT_CAP, CapExceededError, is_consequence
 
 DEFAULT_DEPTH = 6
 
@@ -386,15 +386,21 @@ def search(s: Sequent, depth: int = DEFAULT_DEPTH) -> Derivation | None:
     """Goal-directed backward search, bounded by tree height ``depth``.
 
     Deterministic: assumption order and a fixed rule order decide the
-    result.  ``None`` means no derivation was found within the bound, not
-    that none exists.  Raises ``ValueError`` when ``depth`` exceeds
-    :data:`MAX_SEARCH_DEPTH`.
+    result.  ``None`` means the sequent is matrix-invalid, so by soundness
+    it has no derivation (checked before searching, up to ``DEFAULT_CAP``
+    variables), or that no derivation was found within the bound.  Raises
+    ``ValueError`` when ``depth`` exceeds :data:`MAX_SEARCH_DEPTH`.
     """
     if depth > MAX_SEARCH_DEPTH:
         raise ValueError(f"search depth {depth} exceeds the bound of {MAX_SEARCH_DEPTH}")
+    try:
+        if not is_consequence(s).valid:
+            return None
+    except CapExceededError:
+        pass
     assumptions: list[tuple[str, Formula]] = []
     seen: set[Formula] = set()
-    for i, p in enumerate(s.premises):
+    for p in s.premises:
         if p not in seen:
             seen.add(p)
             assumptions.append((f"p{len(assumptions) + 1}", p))

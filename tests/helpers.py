@@ -1,5 +1,5 @@
-"""Shared formula and sequent generators and reference scans for the
-test suite.
+"""Shared formula, sequent and derivation generators and reference scans
+for the test suite.
 
 Two flavours of generator: a seeded ``random.Random`` generator for tests
 that need a fixed, reproducible sample of a given size, and hypothesis
@@ -11,13 +11,42 @@ evaluators; the block engine must agree with them exactly.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import count, product
 
 from hypothesis import strategies as st
 
 from cnl4.fc import BinaryTable, UnaryTable
-from cnl4.formula import And, Atom, Formula, Neg, Or, Sequent, sequent_variables, variables
+from cnl4.formula import (
+    And,
+    Atom,
+    Formula,
+    Neg,
+    Or,
+    Sequent,
+    sequent_variables,
+    subformulas,
+    variables,
+)
 from cnl4.matrix import CANONICAL_ORDER, DESIGNATED, WITNESS_ORDER, evaluate, interpretations
+from cnl4.nd import (
+    Derivation,
+    Rule,
+    and_e_l,
+    and_e_r,
+    and_i,
+    hyp,
+    nand_e_l,
+    nand_e_r,
+    nand_i,
+    nn1,
+    nn2,
+    nor_e,
+    nor_i_l,
+    nor_i_r,
+    or_e,
+    or_i_l,
+    or_i_r,
+)
 from cnl4.relational import (
     Mismatch,
     OptionReading,
@@ -72,6 +101,152 @@ def formula_strategy(
         ),
         max_leaves=max_leaves,
     )
+
+
+def splittable_sequent_strategy(
+    atoms: tuple[str, ...] = DEFAULT_ATOMS,
+    max_premises: int = 3,
+    max_leaves: int = 4,
+) -> st.SearchStrategy[Sequent]:
+    """Sequents whose premises are often a disjunction or a negated
+    disjunction, so that backward search has case splits to try.  Half
+    the conclusions are built from the premises' subformulas or from a
+    split premise's cases, so that a fair share of the sequents is valid
+    and some need a case split to prove."""
+    sub = formula_strategy(atoms, max_leaves)
+    split = st.tuples(sub, sub).map(lambda pair: Or(pair[0], pair[1]))
+    premise = st.one_of(sub, split, split.map(Neg))
+
+    @st.composite
+    def build(draw):
+        premises = tuple(draw(st.lists(premise, max_size=max_premises)))
+        parts = [g for p in premises for g in subformulas(p)]
+        parts += [Or(p.right, p.left) for p in premises if isinstance(p, Or)]
+        parts += [Or(Neg(p.body.right), Neg(p.body.left)) for p in premises
+                  if isinstance(p, Neg) and isinstance(p.body, Or)]
+        if not parts or draw(st.booleans()):
+            return Sequent(premises, draw(sub))
+        part = st.sampled_from(parts)
+        conclusion = draw(st.one_of(
+            part,
+            st.tuples(part, sub).map(lambda pair: Or(pair[0], pair[1])),
+            st.tuples(part, part).map(lambda pair: And(pair[0], pair[1])),
+        ))
+        return Sequent(premises, conclusion)
+
+    return build()
+
+
+#: Labels of open hypotheses; discharged labels are ``h1``, ``h2``, ...
+OPEN_LABELS = ("a", "b")
+
+
+def derivation_strategy(
+    root: Rule | None = None,
+    atoms: tuple[str, ...] = ("p", "q"),
+    max_height: int = 4,
+) -> st.SearchStrategy[Derivation]:
+    """Random derivations built bottom-up from the ``nd`` builders, with
+    ``root`` at the root when it is given.
+
+    Every one of the fifteen rules can be drawn at every inner node.  A
+    premise that a rule needs in a given shape (a conjunction, a negated
+    disjunction, ...) is a random derivation when its conclusion happens
+    to have that shape, and otherwise a hypothesis of that shape.  OrE and
+    NOrE draw fresh discharge labels, and their case branches may assume
+    the case formulas; branches with different conclusions are joined by
+    OrI_L/OrI_R into the same disjunction.  Every label a node discharges
+    is used only in the branch it names, so every derivation checks.
+    """
+    sub = formula_strategy(atoms, max_leaves=3)
+    pairs = st.tuples(sub, sub)
+    shapes = {
+        "and": (lambda f: isinstance(f, And), pairs.map(lambda fg: And(*fg))),
+        "or": (lambda f: isinstance(f, Or), pairs.map(lambda fg: Or(*fg))),
+        "neg": (lambda f: isinstance(f, Neg), sub.map(Neg)),
+        "nand": (lambda f: isinstance(f, Neg) and isinstance(f.body, And),
+                 pairs.map(lambda fg: Neg(And(*fg)))),
+        "nor": (lambda f: isinstance(f, Neg) and isinstance(f.body, Or),
+                pairs.map(lambda fg: Neg(Or(*fg)))),
+    }
+
+    @st.composite
+    def build(draw):
+        fresh = count(1)
+
+        def leaf(cases):
+            if cases and draw(st.booleans()):
+                label, f = draw(st.sampled_from(cases))
+                return hyp(label, f)
+            return hyp(draw(st.sampled_from(OPEN_LABELS)), draw(sub))
+
+        def shaped(kind, height, cases):
+            fits, formulas = shapes[kind]
+            d = derive(height, cases)
+            if fits(d.conclusion):
+                return d
+            return hyp(draw(st.sampled_from(OPEN_LABELS)), draw(formulas))
+
+        def split(build_node, major, cases_lr, height, cases):
+            label_l, label_r = f"h{next(fresh)}", f"h{next(fresh)}"
+            left = derive(height, cases + ((label_l, cases_lr[0]),))
+            right = derive(height, cases + ((label_r, cases_lr[1]),))
+            if left.conclusion != right.conclusion:
+                left, right = (or_i_l(left, right.conclusion),
+                               or_i_r(right, left.conclusion))
+            return build_node(major, left, right, (label_l, label_r))
+
+        def derive(height, cases, rule=None):
+            if rule is None:
+                rule = draw(st.sampled_from([Rule.HYP, Rule.NN2] if height == 0 else list(Rule)))
+            h = height - 1
+            if rule is Rule.HYP:
+                return leaf(cases)
+            if rule is Rule.NN2:
+                return nn2(draw(sub))
+            if rule is Rule.AND_I:
+                return and_i(derive(h, cases), derive(h, cases))
+            if rule is Rule.AND_E_L:
+                return and_e_l(shaped("and", h, cases))
+            if rule is Rule.AND_E_R:
+                return and_e_r(shaped("and", h, cases))
+            if rule is Rule.OR_I_L:
+                return or_i_l(derive(h, cases), draw(sub))
+            if rule is Rule.OR_I_R:
+                return or_i_r(derive(h, cases), draw(sub))
+            if rule is Rule.OR_E:
+                major = shaped("or", h, cases)
+                c = major.conclusion
+                return split(or_e, major, (c.left, c.right), h, cases)
+            if rule is Rule.NN1:
+                first = derive(h, cases)
+                double = Neg(Neg(first.conclusion))
+                return nn1(first, hyp(draw(st.sampled_from(OPEN_LABELS)), double), draw(sub))
+            if rule is Rule.NAND_I:
+                return nand_i(shaped("neg", h, cases), shaped("neg", h, cases))
+            if rule is Rule.NAND_E_L:
+                return nand_e_l(shaped("nand", h, cases))
+            if rule is Rule.NAND_E_R:
+                return nand_e_r(shaped("nand", h, cases))
+            if rule is Rule.NOR_I_L:
+                return nor_i_l(shaped("neg", h, cases), draw(sub))
+            if rule is Rule.NOR_I_R:
+                return nor_i_r(shaped("neg", h, cases), draw(sub))
+            major = shaped("nor", h, cases)  # Rule.NOR_E
+            c = major.conclusion.body
+            return split(nor_e, major, (Neg(c.left), Neg(c.right)), h, cases)
+
+        return derive(draw(st.integers(1, max_height)), (), root)
+
+    return build()
+
+
+def rules_used(d: Derivation) -> set[Rule]:
+    """The rules of every node of ``d``."""
+    used = {d.rule}
+    for premise in d.premises:
+        used |= rules_used(premise)
+    return used
 
 
 def reference_consequence(

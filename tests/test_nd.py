@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cnl4 import nd
 from cnl4.formula import (
     MAX_DEPTH,
     And,
@@ -22,7 +26,9 @@ from cnl4.formula import (
     format_sequent,
     parse,
     parse_sequent,
+    sequent_variables,
 )
+from cnl4.matrix import CapExceededError, is_consequence
 from cnl4.nd import (
     DISCHARGING_RULES,
     MAX_PROOF_DEPTH,
@@ -52,7 +58,13 @@ from cnl4.nd import (
     soundness_check,
     to_json_dict,
 )
-from helpers import and_elim_chain, random_sequent
+from helpers import (
+    and_elim_chain,
+    derivation_strategy,
+    random_sequent,
+    rules_used,
+    splittable_sequent_strategy,
+)
 
 P, Q = Atom("p"), Atom("q")
 
@@ -286,15 +298,23 @@ def test_corpus_establishes_expected_sequents(name, sequent_text) -> None:
 
 def test_corpus_covers_every_rule() -> None:
     used: set[Rule] = set()
-
-    def visit(d: Derivation) -> None:
-        used.add(d.rule)
-        for premise in d.premises:
-            visit(premise)
-
     for entry in corpus():
-        visit(entry.derivation)
+        used |= rules_used(entry.derivation)
     assert used == set(Rule)
+
+
+# ---------------------------------------------------------------------------
+# Soundness: what proof search's matrix pre-check rests on
+
+
+@pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_derivations_check_and_are_sound(rule, data) -> None:
+    d = data.draw(derivation_strategy(rule))
+    assert d.rule is rule
+    check(d)
+    assert soundness_check(d), render_derivation(d)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +339,25 @@ def test_search_depth_bound_is_respected() -> None:
     assert search(parse_sequent("~p, ~q |- ~(p & q)"), depth=1) is None
 
 
-def test_search_completes_at_the_search_depth_bound() -> None:
-    # every level splits a | b once more, and at the deepest level the goal
-    # is compared with a premise that differs from it only at its deepest atom
-    deep = "~" * MAX_DEPTH
-    sequent = parse_sequent(f"{deep}x, a | b |- {deep}c")
+def test_search_completes_at_the_search_depth_bound(monkeypatch) -> None:
+    # ~ is a four-cycle, so the first premise equals the conclusion and the
+    # matrix pre-check lets the search run.  Every level splits a | b once
+    # more, and at every level the goal is compared with that premise,
+    # which matches it for 196 nested negations.
+    sequent = parse_sequent(f"{'~' * (MAX_DEPTH - 4)}c, a | b |- {'~' * MAX_DEPTH}c")
+    assert is_consequence(sequent).valid
+    # assumptions held at each goal lookup; wrapping _find, unlike _prove,
+    # adds one frame in all rather than one per level
+    held = []
+    find = nd._find
+
+    def counting(assumptions, f):
+        held.append(len(assumptions))
+        return find(assumptions, f)
+
+    monkeypatch.setattr(nd, "_find", counting)
     assert search(sequent, MAX_SEARCH_DEPTH) is None
+    assert max(held) == 2 + MAX_SEARCH_DEPTH - 1  # one case hypothesis per level
     with pytest.raises(ValueError, match=f"search depth {MAX_SEARCH_DEPTH + 1} exceeds"):
         search(sequent, MAX_SEARCH_DEPTH + 1)
 
@@ -378,6 +411,79 @@ def test_search_results_are_sound_on_random_sequents() -> None:
         assert seq.open_assumptions <= set(sequent.premises)
         assert soundness_check(d)
     assert found >= 25  # the sample is not degenerate (32 with this seed)
+
+
+def _plain_search(s, depth):
+    """``search`` with its matrix pre-check reported over the cap, so the
+    search body runs on every sequent."""
+    def over_cap(sequent, cap=nd.DEFAULT_CAP):
+        raise CapExceededError(len(sequent_variables(sequent)), cap)
+
+    with mock.patch.object(nd, "is_consequence", over_cap):
+        return search(s, depth)
+
+
+def _agrees_with_plain_search(sequent, depth) -> tuple[bool, bool]:
+    """Assert that ``search`` gives what its body gives without the
+    pre-check; return whether a derivation was found and whether the
+    pre-check refutes the sequent."""
+    found = search(sequent, depth)
+    plain = _plain_search(sequent, depth)
+    assert found == plain
+    if found is not None:
+        assert to_json_dict(found) == to_json_dict(plain)
+    refuted = not is_consequence(sequent).valid
+    if refuted:
+        assert plain is None
+    return found is not None, refuted
+
+
+@settings(max_examples=300, deadline=None)
+@given(splittable_sequent_strategy(), st.integers(1, 4))
+def test_precheck_leaves_search_results_unchanged(sequent, depth) -> None:
+    _agrees_with_plain_search(sequent, depth)
+
+
+def test_precheck_leaves_random_search_results_unchanged() -> None:
+    rng = random.Random(94)
+    found = refuted = 0
+    for k in range(300):
+        sequent = random_sequent(rng, max_premises=3, max_depth=2)
+        was_found, was_refuted = _agrees_with_plain_search(sequent, 1 + k % 4)
+        found += was_found
+        refuted += was_refuted
+    # both sides of the check are sampled (56 found, 208 refuted with this seed)
+    assert found >= 25 and refuted >= 25
+
+
+@pytest.fixture
+def prove_calls(monkeypatch) -> list:
+    """Every call search makes to ``nd._prove``, recursive ones included."""
+    calls = []
+    prove = nd._prove
+
+    def counting(*args):
+        calls.append(args)
+        return prove(*args)
+
+    monkeypatch.setattr(nd, "_prove", counting)
+    return calls
+
+
+def test_precheck_refutes_without_searching(prove_calls) -> None:
+    invalid = parse_sequent("a | b, c | d, e | f, ~(g | h) |- z")
+    assert search(invalid, 12) is None
+    assert prove_calls == []
+    assert search(parse_sequent("p & q |- q"), 2) is not None
+    assert prove_calls
+
+
+def test_search_above_the_cap_runs_unchecked(prove_calls) -> None:
+    sequent = parse_sequent("a, b, c, d, e, f, g, h, i, j |- k")
+    with pytest.raises(CapExceededError):
+        is_consequence(sequent)
+    assert search(sequent, 4) is None
+    assert prove_calls
 
 
 # ---------------------------------------------------------------------------
