@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: How ``run`` reports an error a verb raises: the first row whose type
 #: matches gives the message label and the exit code.  A JSONDecodeError
-#: is also a ValueError, so its row comes first.
+#: and a UnicodeDecodeError are also ValueErrors, so their rows come first.
 _ERRORS: tuple[tuple[type[Exception], str, int], ...] = (
     (ParseError, "parse error", 3),
     (ProofFormatError, "proof format error", 3),
@@ -462,6 +462,7 @@ _ERRORS: tuple[tuple[type[Exception], str, int], ...] = (
     (UsageError, "error", 3),
     (CapExceededError, "error", 3),
     (UnboundVariableError, "error", 3),
+    (UnicodeDecodeError, "cannot read input", 3),
     (ValueError, "error", 3),
 )
 

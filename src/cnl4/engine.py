@@ -125,26 +125,31 @@ class Program:
         atoms: list[Planes] = [(0, 0)] * fixed + [
             (_cycle_plane(rank, cycling, mask1), _cycle_plane(rank, cycling, mask0))
             for rank in reversed(range(cycling))]
-        neg, conj, disj = clauses.neg, clauses.conj, clauses.disj
-        nodes, release = self.nodes, self._release
         for block in range(4 ** fixed):
             for i in range(fixed):
                 has1, has0 = clauses.codes[(block >> 2 * (fixed - 1 - i)) & 3]
                 atoms[i] = (full if has1 else 0, full if has0 else 0)
-            p1: list = [0] * len(nodes)
-            p0: list = [0] * len(nodes)
-            for i, (op, a, b) in enumerate(nodes):
-                if op == _ATOM:
-                    p1[i], p0[i] = atoms[a]
-                elif op == _NEG:
-                    p1[i], p0[i] = neg(p1[a], p0[a], full)
-                elif op == _AND:
-                    p1[i], p0[i] = conj(p1[a], p0[a], p1[b], p0[b])
-                else:
-                    p1[i], p0[i] = disj(p1[a], p0[a], p1[b], p0[b])
-                for done in release[i]:
-                    p1[done] = p0[done] = None
-            yield block, [(p1[r], p0[r]) for r in self.roots]
+            yield block, self.planes(clauses, atoms, full)
+
+    def planes(self, clauses: Clauses, atoms: Sequence[Planes], full: int) -> list[Planes]:
+        """Planes of each formula, given the planes of each variable and
+        the all-ones plane ``full``: the one evaluation loop."""
+        neg, conj, disj = clauses.neg, clauses.conj, clauses.disj
+        nodes, release = self.nodes, self._release
+        p1: list = [0] * len(nodes)
+        p0: list = [0] * len(nodes)
+        for i, (op, a, b) in enumerate(nodes):
+            if op == _ATOM:
+                p1[i], p0[i] = atoms[a]
+            elif op == _NEG:
+                p1[i], p0[i] = neg(p1[a], p0[a], full)
+            elif op == _AND:
+                p1[i], p0[i] = conj(p1[a], p0[a], p1[b], p0[b])
+            else:
+                p1[i], p0[i] = disj(p1[a], p0[a], p1[b], p0[b])
+            for done in release[i]:
+                p1[done] = p0[done] = None
+        return [(p1[r], p0[r]) for r in self.roots]
 
     def first_countermodel(self, clauses: Clauses) -> tuple[list[int] | None, int]:
         """Scan for the first interpretation that designates every formula

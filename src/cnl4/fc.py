@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .formula import And, Atom, Formula, Neg, Or, format_formula, parse, substitute, variables
-from .matrix import AND, BITS, CANONICAL_ORDER, NEG, OR, Value, evaluate
+from .matrix import AND, BITS, CANONICAL_ORDER, NEG, OR, Value, truth_table
 
 _INDEX = {v: k for k, v in enumerate(CANONICAL_ORDER)}
 
@@ -123,7 +123,7 @@ def fn_of_unary_term(t: Formula) -> UnaryTable:
     if extra:
         raise ReservedVariableError(
             f"unary terms may mention only 'x'; found {', '.join(sorted(extra))}")
-    return unary_table(lambda v: evaluate(t, {"x": v}))
+    return UnaryTable(tuple(value for _, value in truth_table(t)))
 
 
 def indicator_table(a: Value) -> UnaryTable:

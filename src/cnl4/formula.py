@@ -94,9 +94,9 @@ _TOK_EOF = "end of input"
 #: Deepest formula the parser accepts, counting connectives on the longest
 #: path from the root to an atom (an atom has depth 0), and the most
 #: parentheses that may be open at once.  Deeper input raises
-#: :class:`ParseError`.  Printing, evaluating and comparing formulas
-#: recurse up to three interpreter frames per level, so every command
-#: must still succeed, with room to spare, at this depth.
+#: :class:`ParseError`.  Printing and comparing formulas recurse up to
+#: three interpreter frames per level (evaluating does not recurse), so
+#: every command must still succeed, with room to spare, at this depth.
 MAX_DEPTH = 200
 
 

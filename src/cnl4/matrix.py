@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .engine import Clauses, Program
-from .formula import And, Atom, Formula, Neg, Or, Sequent
+from .formula import Formula, Sequent
 
 DEFAULT_CAP = 10
 
@@ -106,25 +106,6 @@ class CapExceededError(Exception):
 Interpretation = Mapping[str, Value]
 
 
-def evaluate(f: Formula, interpretation: Interpretation) -> Value:
-    """Value of ``f`` under ``interpretation``.
-
-    Raises :class:`UnboundVariableError` if an atom of ``f`` has no value.
-    """
-    if isinstance(f, Atom):
-        try:
-            return interpretation[f.name]
-        except KeyError:
-            raise UnboundVariableError(f.name) from None
-    if isinstance(f, Neg):
-        return NEG[evaluate(f.body, interpretation)]
-    if isinstance(f, And):
-        return AND[(evaluate(f.left, interpretation), evaluate(f.right, interpretation))]
-    if isinstance(f, Or):
-        return OR[(evaluate(f.left, interpretation), evaluate(f.right, interpretation))]
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def interpretations(names: Sequence[str]) -> Iterator[dict[str, Value]]:
     """All assignments to ``names`` in ``CANONICAL_ORDER``, the last
     variable cycling fastest."""
@@ -152,6 +133,37 @@ def matrix_clauses(order: Sequence[Value]) -> Clauses:
         disj=lambda a1, a0, b1, b0: (a1 | b1, a0 & b0),
         designated=lambda a1, a0, full: a1,
     )
+
+
+def evaluate(f: Formula, interpretation: Interpretation) -> Value:
+    """Value of ``f`` under ``interpretation``.
+
+    Raises :class:`UnboundVariableError` if an atom of ``f`` has no value,
+    and :class:`TypeError` if it has one that is not a :class:`Value`.
+    """
+    return evaluate_point(f, interpretation, matrix_clauses(CANONICAL_ORDER), CANONICAL_ORDER)
+
+
+def evaluate_point(f: Formula, interpretation: Mapping, clauses: Clauses, values: Sequence):
+    """Value of ``f`` under ``clauses`` at one interpretation, as a block one
+    interpretation wide; scan digit ``d`` names ``values[d]``.
+
+    Raises :class:`UnboundVariableError` naming the first atom of ``f`` that
+    has no value, and :class:`TypeError` for a value not in ``values``.
+    """
+    program = Program([f])
+    atoms = []
+    for name in program.names:
+        try:
+            value = interpretation[name]
+        except KeyError:
+            raise UnboundVariableError(name) from None
+        if value not in values:
+            raise TypeError(f"atom {name!r} has value {value!r}, not one of "
+                            f"{', '.join(map(str, values))}")
+        atoms.append(clauses.codes[values.index(value)])
+    [(p1, p0)] = program.planes(clauses, atoms, 1)
+    return values[clauses.codes.index((bool(p1), bool(p0)))]
 
 
 def compile_within_cap(formulas: Sequence[Formula], cap: int) -> Program:

@@ -28,17 +28,16 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .engine import Clauses
-from .formula import And, Atom, Formula, Neg, Or, Sequent
+from .formula import Formula, Sequent
 from .matrix import (
     BITS,
     CANONICAL_ORDER,
     DEFAULT_CAP,
-    DESIGNATED,
     WITNESS_ORDER,
-    UnboundVariableError,
     Value,
     Verdict,
     compile_within_cap,
+    evaluate_point,
     matrix_clauses,
     render_table_lines,
     scan_consequence,
@@ -178,47 +177,25 @@ RelInterpretation = Mapping[str, TruthSet]
 
 
 def rel_eval(option: OptionReading, f: Formula, assignment: RelInterpretation) -> TruthSet:
-    """Evaluate ``f`` clause by clause over truth sets."""
-    if isinstance(f, Atom):
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise UnboundVariableError(f.name) from None
-    if isinstance(f, Neg):
-        s = rel_eval(option, f.body, assignment)
-        truth = (not s.has0) if option.neg_truth is NegTruthClause.ZERO_ABSENT else s.has0
-        falsity = s.has1 if option.neg_falsity is NegFalsityClause.ONE_PRESENT else not s.has1
-        return TruthSet(truth, falsity)
-    if isinstance(f, (And, Or)):
-        a = rel_eval(option, f.left, assignment)
-        b = rel_eval(option, f.right, assignment)
-        either = option.falsity_style is FalsityStyle.EITHER
-        if isinstance(f, And):
-            return TruthSet(a.has1 and b.has1,
-                            (a.has0 or b.has0) if either else (a.has0 and b.has0))
-        return TruthSet(a.has1 or b.has1,
-                        (a.has0 and b.has0) if either else (a.has0 or b.has0))
-    raise TypeError(f"not a formula: {f!r}")
+    """Evaluate ``f`` clause by clause over truth sets.
+
+    Raises :class:`~cnl4.matrix.UnboundVariableError` if an atom of ``f``
+    has no truth set.
+    """
+    return evaluate_point(f, assignment, option_clauses(option, CANONICAL_ORDER),
+                          [correspond(option, v) for v in CANONICAL_ORDER])
 
 
 def rel_designated(option: OptionReading, s: TruthSet) -> bool:
     """Does ``s`` have the property the option's consequence preserves?"""
-    if option.preservation is Preservation.TRUTH:
-        return s.has1
-    if option.preservation is Preservation.NON_FALSITY:
-        return not s.has0
-    return s.has0
-
-
-def designated_truth_sets(option: OptionReading) -> frozenset[TruthSet]:
-    """Images of the designated matrix values under the option's map."""
-    return frozenset(correspond(option, v) for v in DESIGNATED)
+    return bool(option_clauses(option, CANONICAL_ORDER).designated(s.has1, s.has0, 1))
 
 
 def option_clauses(option: OptionReading, order: Sequence[Value]) -> Clauses:
     """The option's clauses over planes, scanning the images of ``order``.
 
-    The plane form of :func:`rel_eval` and :func:`rel_designated`.
+    :func:`rel_eval`, :func:`rel_designated` and :func:`option_tables`
+    apply these clauses.
     """
     zero_absent = option.neg_truth is NegTruthClause.ZERO_ABSENT
     one_present = option.neg_falsity is NegFalsityClause.ONE_PRESENT
@@ -328,20 +305,18 @@ class OptionTables:
 
 
 def option_tables(option: OptionReading) -> OptionTables:
-    """Connective tables over t/b/n/f generated from the option's clauses."""
-    x, y = Atom("x"), Atom("y")
-    neg_table = {
-        w: FDE_OF_SET[rel_eval(option, Neg(x), {"x": TRUTH_SETS[w]})]
-        for w in FDE_ORDER
-    }
-    conj_table = {}
-    disj_table = {}
-    for w1 in FDE_ORDER:
-        for w2 in FDE_ORDER:
-            assignment = {"x": TRUTH_SETS[w1], "y": TRUTH_SETS[w2]}
-            conj_table[(w1, w2)] = FDE_OF_SET[rel_eval(option, And(x, y), assignment)]
-            disj_table[(w1, w2)] = FDE_OF_SET[rel_eval(option, Or(x, y), assignment)]
-    return OptionTables(neg_table, conj_table, disj_table)
+    """Connective tables over t/b/n/f: the option's clauses on single bits."""
+    clauses = option_clauses(option, CANONICAL_ORDER)
+
+    def fde(planes: tuple[int, int]) -> FdeValue:
+        return FDE_OF_SET[TruthSet(bool(planes[0]), bool(planes[1]))]
+
+    bits = {w: (s.has1, s.has0) for w, s in TRUTH_SETS.items()}
+    pairs = [(w1, w2) for w1 in FDE_ORDER for w2 in FDE_ORDER]
+    return OptionTables(
+        {w: fde(clauses.neg(*bits[w], 1)) for w in FDE_ORDER},
+        {(w1, w2): fde(clauses.conj(*bits[w1], *bits[w2])) for w1, w2 in pairs},
+        {(w1, w2): fde(clauses.disj(*bits[w1], *bits[w2])) for w1, w2 in pairs})
 
 
 def option_table_lines(option: OptionReading) -> list[str]:

@@ -4,8 +4,10 @@ for the test suite.
 Two flavours of generator: a seeded ``random.Random`` generator for tests
 that need a fixed, reproducible sample of a given size, and hypothesis
 strategies for property tests that benefit from shrinking.  The reference
-scans enumerate interpretations one at a time with the recursive
-evaluators; the block engine must agree with them exactly.
+evaluators recurse over a formula with the matrix tables or the option's
+truth-set clauses, independently of the block engine behind the library's
+evaluators; the reference scans enumerate interpretations one at a time
+with them, and the engine must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,17 @@ from cnl4.formula import (
     subformulas,
     variables,
 )
-from cnl4.matrix import CANONICAL_ORDER, DESIGNATED, WITNESS_ORDER, evaluate, interpretations
+from cnl4.matrix import (
+    AND,
+    CANONICAL_ORDER,
+    DESIGNATED,
+    NEG,
+    OR,
+    WITNESS_ORDER,
+    UnboundVariableError,
+    Value,
+    interpretations,
+)
 from cnl4.nd import (
     Derivation,
     Rule,
@@ -48,11 +60,14 @@ from cnl4.nd import (
     or_i_r,
 )
 from cnl4.relational import (
+    FalsityStyle,
     Mismatch,
+    NegFalsityClause,
+    NegTruthClause,
     OptionReading,
+    Preservation,
+    TruthSet,
     correspond,
-    rel_designated,
-    rel_eval,
 )
 
 DEFAULT_ATOMS = ("p", "q", "r")
@@ -249,23 +264,80 @@ def rules_used(d: Derivation) -> set[Rule]:
     return used
 
 
+def reference_evaluate(f: Formula, interpretation) -> Value:
+    """Value of ``f`` by recursion over the matrix tables."""
+    if isinstance(f, Atom):
+        try:
+            return interpretation[f.name]
+        except KeyError:
+            raise UnboundVariableError(f.name) from None
+    if isinstance(f, Neg):
+        return NEG[reference_evaluate(f.body, interpretation)]
+    if isinstance(f, And):
+        return AND[(reference_evaluate(f.left, interpretation),
+                    reference_evaluate(f.right, interpretation))]
+    if isinstance(f, Or):
+        return OR[(reference_evaluate(f.left, interpretation),
+                   reference_evaluate(f.right, interpretation))]
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_rel_eval(option: OptionReading, f: Formula, assignment) -> TruthSet:
+    """Truth set of ``f`` by recursion over the option's clauses."""
+    if isinstance(f, Atom):
+        try:
+            return assignment[f.name]
+        except KeyError:
+            raise UnboundVariableError(f.name) from None
+    if isinstance(f, Neg):
+        s = reference_rel_eval(option, f.body, assignment)
+        truth = (not s.has0) if option.neg_truth is NegTruthClause.ZERO_ABSENT else s.has0
+        falsity = s.has1 if option.neg_falsity is NegFalsityClause.ONE_PRESENT else not s.has1
+        return TruthSet(truth, falsity)
+    if isinstance(f, (And, Or)):
+        a = reference_rel_eval(option, f.left, assignment)
+        b = reference_rel_eval(option, f.right, assignment)
+        either = option.falsity_style is FalsityStyle.EITHER
+        if isinstance(f, And):
+            return TruthSet(a.has1 and b.has1,
+                            (a.has0 or b.has0) if either else (a.has0 and b.has0))
+        return TruthSet(a.has1 or b.has1,
+                        (a.has0 and b.has0) if either else (a.has0 or b.has0))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_rel_designated(option: OptionReading, s: TruthSet) -> bool:
+    """Does ``s`` have the property the option's consequence preserves?"""
+    if option.preservation is Preservation.TRUTH:
+        return s.has1
+    if option.preservation is Preservation.NON_FALSITY:
+        return not s.has0
+    return s.has0
+
+
+def designated_truth_sets(option: OptionReading) -> frozenset[TruthSet]:
+    """Images of the designated matrix values under the option's map."""
+    return frozenset(correspond(option, v) for v in DESIGNATED)
+
+
 def reference_consequence(
     s: Sequent, option: OptionReading | None = None,
 ) -> tuple[bool, dict | None, int]:
     """``(valid, first witness, checked)`` by enumerating interpretations
     in :data:`WITNESS_ORDER` (its image under ``option``, which selects
-    the option's clauses), evaluating each formula recursively."""
+    the option's clauses), evaluating each formula with the reference
+    evaluators."""
     names = sequent_variables(s)
     if option is None:
         order = WITNESS_ORDER
 
         def designated(f, inter):
-            return evaluate(f, inter) in DESIGNATED
+            return reference_evaluate(f, inter) in DESIGNATED
     else:
         order = [correspond(option, v) for v in WITNESS_ORDER]
 
         def designated(f, inter):
-            return rel_designated(option, rel_eval(option, f, inter))
+            return reference_rel_designated(option, reference_rel_eval(option, f, inter))
     checked = 0
     for values in product(order, repeat=len(names)):
         inter = dict(zip(names, values))
@@ -282,9 +354,9 @@ def reference_mismatches(option: OptionReading, f: Formula) -> list[Mismatch]:
     translated atoms."""
     mismatches = []
     for inter in interpretations(variables(f)):
-        via_map = correspond(option, evaluate(f, inter))
+        via_map = correspond(option, reference_evaluate(f, inter))
         assignment = {name: correspond(option, v) for name, v in inter.items()}
-        via_clauses = rel_eval(option, f, assignment)
+        via_clauses = reference_rel_eval(option, f, assignment)
         if via_map != via_clauses:
             mismatches.append(Mismatch(inter, via_map, via_clauses))
     return mismatches

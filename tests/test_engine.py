@@ -1,17 +1,20 @@
-"""The block engine against the one-interpretation-at-a-time reference.
+"""The block engine against the recursive reference evaluators.
 
 Consequence, truth tables and option comparison evaluate whole blocks of
-interpretations as two bitplanes.  These tests pin each clause set to its
-golden connective table (so, by induction on formulas, the engine computes
-the semantics the tables define) and check that verdicts, witnesses,
-``checked`` counts, rows and mismatches equal those of the reference scans
-in ``helpers``, including across block boundaries.
+interpretations as two bitplanes; ``evaluate``, ``rel_eval``,
+``rel_designated`` and the option tables run the same clauses on single
+bits.  These tests pin each clause set to its golden connective table (so,
+by induction on formulas, the engine computes the semantics the tables
+define) and check that verdicts, witnesses, ``checked`` counts, rows,
+mismatches, single values and unbound atoms equal those of the reference
+evaluators and scans in ``helpers``, including across block boundaries.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import importlib.resources
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from cnl4.matrix import (
     BITS,
     CANONICAL_ORDER,
     WITNESS_ORDER,
+    UnboundVariableError,
     Value,
     evaluate,
     interpretations,
@@ -37,12 +41,25 @@ from cnl4.relational import (
     OPTIONS,
     TRUTH_SETS,
     FalsityStyle,
+    NegFalsityClause,
+    NegTruthClause,
+    Preservation,
     check_option_equivalence,
     correspond,
     option_clauses,
+    option_tables,
     rel_consequence,
+    rel_designated,
+    rel_eval,
 )
-from helpers import formula_strategy, reference_consequence, reference_mismatches
+from helpers import (
+    formula_strategy,
+    reference_consequence,
+    reference_evaluate,
+    reference_mismatches,
+    reference_rel_designated,
+    reference_rel_eval,
+)
 
 SEMANTICS = (None, *OPTIONS)
 X, Y = Atom("x"), Atom("y")
@@ -109,8 +126,59 @@ def test_consequence_equals_reference(premises, conclusion, option_id) -> None:
 @settings(max_examples=80, deadline=None)
 @given(formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=10))
 def test_truth_table_equals_reference(f) -> None:
-    expected = [(inter, evaluate(f, inter)) for inter in interpretations(variables(f))]
+    expected = [(inter, reference_evaluate(f, inter)) for inter in interpretations(variables(f))]
     assert truth_table(f) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_strategy(max_leaves=10), st.sampled_from(SEMANTICS),
+       st.dictionaries(st.sampled_from(("p", "q", "r")), st.sampled_from(CANONICAL_ORDER)))
+def test_point_evaluation_equals_reference(f, option_id, inter) -> None:
+    """``evaluate`` and ``rel_eval`` at one interpretation, which may leave
+    atoms unbound: the same value, or the same first unbound atom named."""
+    if option_id is None:
+        engine, reference, env = evaluate, reference_evaluate, inter
+    else:
+        option = OPTIONS[option_id]
+        env = {name: correspond(option, v) for name, v in inter.items()}
+
+        def engine(f, env):
+            return rel_eval(option, f, env)
+
+        def reference(f, env):
+            return reference_rel_eval(option, f, env)
+
+    def outcome(evaluator):
+        try:
+            return "value", evaluator(f, env)
+        except UnboundVariableError as exc:
+            return "unbound", exc.name
+
+    assert outcome(engine) == outcome(reference)
+
+
+#: Every combination of negation clauses, falsity style and preservation,
+#: on O1's value map: the clause sets of O1-O4 and 20 others.
+READINGS = [
+    dataclasses.replace(OPTIONS["O1"], id="/".join(c.name for c in choice),
+                        neg_truth=choice[0], neg_falsity=choice[1],
+                        falsity_style=choice[2], preservation=choice[3])
+    for choice in itertools.product(NegTruthClause, NegFalsityClause, FalsityStyle,
+                                    Preservation)]
+
+
+@pytest.mark.parametrize("option", READINGS, ids=[r.id for r in READINGS])
+def test_designation_and_option_tables_equal_reference(option) -> None:
+    for s in TRUTH_SETS.values():
+        assert rel_designated(option, s) is reference_rel_designated(option, s)
+    tables = option_tables(option)
+    for w in FDE_ORDER:
+        x = {"x": TRUTH_SETS[w]}
+        assert TRUTH_SETS[tables.neg[w]] == reference_rel_eval(option, Neg(X), x)
+        for v in FDE_ORDER:
+            xy = {**x, "y": TRUTH_SETS[v]}
+            assert TRUTH_SETS[tables.conj[(w, v)]] == reference_rel_eval(option, And(X, Y), xy)
+            assert TRUTH_SETS[tables.disj[(w, v)]] == reference_rel_eval(option, Or(X, Y), xy)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,12 +231,23 @@ def test_shared_subformulas_compile_once() -> None:
 
 def test_deep_and_wide_formulas_do_not_recurse() -> None:
     """Compiling and evaluating are iterative, so nesting far beyond the
-    interpreter's recursion limit is fine (the parser bounds it for text);
-    a formula built by doubling one object is compiled in linear time."""
+    interpreter's recursion limit is fine (the parser bounds it for text),
+    at one interpretation as over all of them; a formula built by doubling
+    one object is compiled in linear time."""
     deep = Atom("p")
     for _ in range(8000):
         deep = Neg(deep)
     assert is_consequence(Sequent((Atom("p"),), deep)).valid  # ~ has order 4
+    chain = Atom("p")
+    for _ in range(5000):
+        chain = And(chain, Atom("q"))
+    env = {"p": Value.VI, "q": Value.V1}
+    assert evaluate(deep, env) == Value.VI
+    assert evaluate(chain, env) == Value.VI
+    for option in OPTIONS.values():
+        rel_env = {name: correspond(option, v) for name, v in env.items()}
+        assert rel_eval(option, deep, rel_env) == rel_env["p"]
+        assert rel_eval(option, chain, rel_env) == rel_env["p"]
     doubled = Atom("p")
     for _ in range(200):
         doubled = And(doubled, doubled)

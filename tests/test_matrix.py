@@ -35,6 +35,7 @@ from cnl4.matrix import (
     neg,
     truth_table,
 )
+from cnl4.relational import OPTIONS, correspond, rel_eval
 from helpers import formula_strategy
 
 V1, VI, VJ, V0 = Value.V1, Value.VI, Value.VJ, Value.V0
@@ -112,6 +113,15 @@ def test_evaluate_unbound_variable() -> None:
     with pytest.raises(UnboundVariableError) as exc_info:
         evaluate(parse("p & q"), {"p": V1})
     assert exc_info.value.name == "q"
+
+
+def test_point_evaluators_refuse_foreign_values() -> None:
+    """An atom's value must be one the semantics codes: a matrix value for
+    ``evaluate``, a truth set for ``rel_eval``."""
+    with pytest.raises(TypeError, match="'p' has value '1'"):
+        evaluate(parse("p"), {"p": "1"})
+    with pytest.raises(TypeError, match="'q' has value"):
+        rel_eval(OPTIONS["O1"], parse("p & q"), {"p": correspond(OPTIONS["O1"], V1), "q": V1})
 
 
 def test_interpretations_cycle_last_variable_fastest() -> None:

@@ -496,6 +496,47 @@ def test_json_roundtrip_preserves_corpus() -> None:
         assert from_json_dict(json.loads(blob)) == entry.derivation
 
 
+@settings(max_examples=150, deadline=None)
+@given(derivation_strategy())
+def test_json_roundtrip_preserves_random_derivations(d) -> None:
+    assert from_json_dict(json.loads(json.dumps(to_json_dict(d)))) == d
+
+
+PROOF_KEYS = ["rule", "conclusion", "premises", "discharge", "label"]
+
+
+def json_trees() -> st.SearchStrategy:
+    """JSON values biased towards proof nodes: objects with the format's
+    keys, wire rule names, formula texts (some malformed) and labels."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+        st.sampled_from([r.value for r in Rule]),
+        st.sampled_from(["p", "p & q", "~~p | q", "p |", "(p", "h1", "a"]))
+    keys = st.one_of(st.sampled_from(PROOF_KEYS), st.text(max_size=3))
+    return st.recursive(scalars, lambda sub: st.one_of(
+        st.lists(sub, max_size=3), st.dictionaries(keys, sub, max_size=5)), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_from_json_dict_raises_only_format_or_parse_errors(data) -> None:
+    """Random JSON trees, and valid proof files with one field of one node
+    replaced by random JSON, are loaded or refused with a format or parse
+    error, never another exception."""
+    if data.draw(st.booleans()):
+        obj = data.draw(json_trees())
+    else:
+        obj = to_json_dict(data.draw(derivation_strategy(max_height=3)))
+        node = obj
+        while node["premises"] and data.draw(st.booleans()):
+            node = data.draw(st.sampled_from(node["premises"]))
+        node[data.draw(st.sampled_from(PROOF_KEYS))] = data.draw(json_trees())
+    try:
+        from_json_dict(obj)
+    except (ProofFormatError, ParseError):
+        pass
+
+
 def test_json_emits_wire_rule_names() -> None:
     obj = to_json_dict(corpus()[0].derivation)
     assert obj["rule"] == "NN2"

@@ -34,7 +34,6 @@ from cnl4.relational import (
     TruthSet,
     check_option_equivalence,
     correspond,
-    designated_truth_sets,
     get_option,
     option_table_lines,
     option_tables,
@@ -42,7 +41,7 @@ from cnl4.relational import (
     rel_designated,
     rel_eval,
 )
-from helpers import formula_strategy, random_sequent
+from helpers import designated_truth_sets, formula_strategy, random_sequent
 
 V1, VI, VJ, V0 = Value.V1, Value.VI, Value.VJ, Value.V0
 
