@@ -11,7 +11,9 @@ Grammar (whitespace insignificant)::
 Negation binds tighter than conjunction, which binds tighter than
 disjunction; the binary connectives associate to the left.  Sequents are
 written ``P1, P2 |- C``; the premise list may be empty (``|- C``).
-Formulas nested deeper than :data:`MAX_DEPTH` are refused.
+Formulas nested deeper than :data:`MAX_DEPTH`, or with more parentheses
+open at once, are refused.  The parser keeps an explicit frame stack and
+does not recurse; printing and comparing formulas still recurse.
 
 The printer emits minimal parentheses and round-trips exactly:
 ``parse(format_formula(f)) == f`` for every formula ``f``.
@@ -19,7 +21,9 @@ The printer emits minimal parentheses and round-trips exactly:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 
@@ -79,173 +83,143 @@ class Sequent:
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
-
-_TOK_NAME = "name"
-_TOK_NOT = "~"
-_TOK_AND = "&"
-_TOK_OR = "|"
-_TOK_LPAREN = "("
-_TOK_RPAREN = ")"
-_TOK_COMMA = ","
-_TOK_TURNSTILE = "|-"
-_TOK_EOF = "end of input"
+# Parser (precedence loop over a token list, one frame per open parenthesis)
 
 #: Deepest formula the parser accepts, counting connectives on the longest
 #: path from the root to an atom (an atom has depth 0), and the most
 #: parentheses that may be open at once.  Deeper input raises
-#: :class:`ParseError`.  Printing and comparing formulas recurse up to
-#: three interpreter frames per level (evaluating does not recurse), so
-#: every command must still succeed, with room to spare, at this depth.
+#: :class:`ParseError`.  The parser keeps its own frame stack and does not
+#: recurse, but printing and comparing formulas recurse up to three
+#: interpreter frames per level (evaluating does not recurse), so every
+#: command must still succeed, with room to spare, at this depth.
 MAX_DEPTH = 200
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int  # 1-based offset of the first character
+_TOKEN = re.compile(r"\|-|[~&|(),]|[a-z][A-Za-z0-9_]*")
+# finds the first character no token starts at, on the error path only
+_LEXEME = re.compile(r"\s+|" + _TOKEN.pattern)
+_SYMBOLS = frozenset(("~", "&", "|", "(", ")", ",", "|-", ""))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if c == "|" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(_Token(_TOK_TURNSTILE, "|-", pos))
-            i += 2
-        elif c in "~&|(),":
-            kind = {"~": _TOK_NOT, "&": _TOK_AND, "|": _TOK_OR,
-                    "(": _TOK_LPAREN, ")": _TOK_RPAREN, ",": _TOK_COMMA}[c]
-            tokens.append(_Token(kind, c, pos))
-            i += 1
-        elif c.islower() and c.isascii() and c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_")):
-                j += 1
-            tokens.append(_Token(_TOK_NAME, text[i:j], pos))
-            i = j
-        else:
-            raise ParseError(pos, f"unexpected character {c!r}")
-    tokens.append(_Token(_TOK_EOF, "", n + 1))
+def _error(text: str, k: int, message: str) -> ParseError:
+    """The error at token ``k`` of ``text``; the end-of-input sentinel
+    after the last token reports ``len(text) + 1``."""
+    match = next(islice(_TOKEN.finditer(text), k, None), None)
+    return ParseError(match.start() + 1 if match else len(text) + 1, message)
+
+
+def _too_deep(text: str, k: int) -> ParseError:
+    return _error(text, k, f"formula nested deeper than {MAX_DEPTH} levels")
+
+
+def _tokenize(text: str) -> list[str]:
+    """The token strings of ``text``, ending with an ``""`` sentinel."""
+    tokens = _TOKEN.findall(text)
+    # tokens hold no whitespace, so they cover every other character
+    # exactly when they are as long as the text without its whitespace
+    if len("".join(tokens)) != len("".join(text.split())):
+        end = 0
+        for match in _LEXEME.finditer(text):
+            if match.start() != end:
+                break
+            end = match.end()
+        raise ParseError(end + 1, f"unexpected character {text[end]!r}")
+    tokens.append("")
     return tokens
 
 
-# --------------------------------------------------------------------------
-# Parser (recursive descent, one token of lookahead)
+def _formula(text: str, tokens: list[str], i: int) -> tuple[Formula, int]:
+    """Parse one formula from ``tokens[i]`` on; return it with the index of
+    the token after it.
 
-class _Parser:
-    """Each rule returns a formula with its depth, so the depth bound
-    covers chains of binary connectives as well as nesting; ``level``
-    counts the parentheses the parser is inside, which bounds its own
-    recursion."""
-
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.level = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(token.position, f"expected '{kind}'")
-        return self.advance()
-
-    def formula(self) -> Formula:
-        return self.disj()[0]
-
-    @staticmethod
-    def too_deep(token: _Token) -> ParseError:
-        return ParseError(token.position, f"formula nested deeper than {MAX_DEPTH} levels")
-
-    def disj(self) -> tuple[Formula, int]:
-        left, depth = self.conj()
-        while self.peek().kind == _TOK_OR:
-            token = self.advance()
-            right, right_depth = self.conj()
-            left, depth = Or(left, right), (depth if depth > right_depth else right_depth) + 1
-            if depth > MAX_DEPTH:
-                raise self.too_deep(token)
-        return left, depth
-
-    def conj(self) -> tuple[Formula, int]:
-        left, depth = self.neg()
-        while self.peek().kind == _TOK_AND:
-            token = self.advance()
-            right, right_depth = self.neg()
-            left, depth = And(left, right), (depth if depth > right_depth else right_depth) + 1
-            if depth > MAX_DEPTH:
-                raise self.too_deep(token)
-        return left, depth
-
-    def neg(self) -> tuple[Formula, int]:
-        token = self.advance()
-        if token.kind == _TOK_NAME:
-            return Atom(token.text), 0
-        # a run of ~ is read in a loop and wrapped round its operand, so
-        # only parentheses make the parser recurse
-        first = self.index - 1
-        while token.kind == _TOK_NOT:
-            token = self.advance()
-        negations = self.index - 1 - first
-        if token.kind == _TOK_NAME:
-            f, depth = Atom(token.text), 0
-        elif token.kind == _TOK_LPAREN:
-            self.level += 1
-            if self.level > MAX_DEPTH:
-                raise self.too_deep(token)
-            f, depth = self.disj()
-            self.expect(_TOK_RPAREN)
-            self.level -= 1
-        else:
-            raise ParseError(token.position, "expected a formula")
-        if depth + negations > MAX_DEPTH:
-            # the ~ that takes the depth past the bound
-            raise self.too_deep(self.tokens[first + negations - 1 - (MAX_DEPTH - depth)])
-        for _ in range(negations):
-            f = Neg(f)
-        return f, depth + negations
-
-    def end(self) -> None:
-        token = self.peek()
-        if token.kind != _TOK_EOF:
-            raise ParseError(token.position, "unexpected trailing input")
+    Every subformula carries its depth, so the depth bound covers chains of
+    binary connectives as well as nesting.  ``left_and``/``left_or`` hold
+    the pending left operand of ``&``/``|`` at the current parenthesis
+    level, with its depth and the operator's token index; an open
+    parenthesis pushes them, with the ``~``-run before it, onto ``frames``.
+    """
+    frames: list[tuple] = []
+    left_or = left_and = None
+    or_depth = or_at = and_depth = and_at = 0
+    while True:
+        first = i
+        token = tokens[i]
+        i += 1
+        while token == "~":
+            token = tokens[i]
+            i += 1
+        negations = i - 1 - first
+        if token == "(":
+            if len(frames) == MAX_DEPTH:
+                raise _too_deep(text, i - 1)
+            frames.append((negations, first, left_or, or_depth, or_at,
+                           left_and, and_depth, and_at))
+            left_or = left_and = None
+            continue
+        if token in _SYMBOLS:
+            raise _error(text, i - 1, "expected a formula")
+        f, depth = Atom(token), 0
+        # close the operand's ~-run, then every &, | and parenthesis it ends
+        while True:
+            if negations:
+                if depth + negations > MAX_DEPTH:
+                    # the ~ that takes the depth past the bound
+                    raise _too_deep(text, first + negations - 1 - (MAX_DEPTH - depth))
+                for _ in range(negations):
+                    f = Neg(f)
+                depth += negations
+            if left_and is not None:
+                f, depth = And(left_and, f), (and_depth if and_depth > depth else depth) + 1
+                if depth > MAX_DEPTH:
+                    raise _too_deep(text, and_at)
+            token = tokens[i]
+            if token == "&":
+                left_and, and_depth, and_at = f, depth, i
+                i += 1
+                break
+            left_and = None
+            if left_or is not None:
+                f, depth = Or(left_or, f), (or_depth if or_depth > depth else depth) + 1
+                if depth > MAX_DEPTH:
+                    raise _too_deep(text, or_at)
+            if token == "|":
+                left_or, or_depth, or_at = f, depth, i
+                i += 1
+                break
+            left_or = None
+            if not frames:
+                return f, i
+            if token != ")":
+                raise _error(text, i, "expected ')'")
+            i += 1
+            (negations, first, left_or, or_depth, or_at,
+             left_and, and_depth, and_at) = frames.pop()
 
 
 def parse(text: str) -> Formula:
     """Parse a single formula; raise :class:`ParseError` on bad input."""
-    parser = _Parser(text)
-    result = parser.formula()
-    parser.end()
-    return result
+    tokens = _tokenize(text)
+    f, i = _formula(text, tokens, 0)
+    if tokens[i]:
+        raise _error(text, i, "unexpected trailing input")
+    return f
 
 
 def parse_sequent(text: str) -> Sequent:
     """Parse ``P1, P2 |- C``.  The premise list may be empty."""
-    parser = _Parser(text)
+    tokens = _tokenize(text)
     premises: list[Formula] = []
-    if parser.peek().kind != _TOK_TURNSTILE:
-        premises.append(parser.formula())
-        while parser.peek().kind == _TOK_COMMA:
-            parser.advance()
-            premises.append(parser.formula())
-    parser.expect(_TOK_TURNSTILE)
-    conclusion = parser.formula()
-    parser.end()
+    i = 0
+    if tokens[0] != "|-":
+        f, i = _formula(text, tokens, 0)
+        premises.append(f)
+        while tokens[i] == ",":
+            f, i = _formula(text, tokens, i + 1)
+            premises.append(f)
+    if tokens[i] != "|-":
+        raise _error(text, i, "expected '|-'")
+    conclusion, i = _formula(text, tokens, i + 1)
+    if tokens[i]:
+        raise _error(text, i, "unexpected trailing input")
     return Sequent(tuple(premises), conclusion)
 
 

@@ -568,12 +568,13 @@ def from_json_dict(obj: object) -> Derivation:
 
     Raises :class:`ProofFormatError` for structural problems, including a
     tree deeper than :data:`MAX_PROOF_DEPTH`; formula text is parsed with
-    the usual grammar.
+    the usual grammar.  Equal conclusion texts within one tree are parsed
+    once and share one formula object.
     """
-    return _from_json(obj, 1)
+    return _from_json(obj, 1, {})
 
 
-def _from_json(obj: object, depth: int) -> Derivation:
+def _from_json(obj: object, depth: int, parsed: dict[str, Formula]) -> Derivation:
     if depth > MAX_PROOF_DEPTH:
         raise ProofFormatError(f"proof nested deeper than {MAX_PROOF_DEPTH} levels")
     if not isinstance(obj, dict):
@@ -586,9 +587,12 @@ def _from_json(obj: object, depth: int) -> Derivation:
         raise ProofFormatError(f"unknown rule {obj['rule']!r}") from None
     if "conclusion" not in obj:
         raise ProofFormatError("proof node is missing 'conclusion'")
-    if not isinstance(obj["conclusion"], str):
+    text = obj["conclusion"]
+    if not isinstance(text, str):
         raise ProofFormatError("'conclusion' must be a string")
-    conclusion = parse(obj["conclusion"])
+    conclusion = parsed.get(text)
+    if conclusion is None:
+        conclusion = parsed[text] = parse(text)
     premises = obj.get("premises", [])
     if not isinstance(premises, list):
         raise ProofFormatError("'premises' must be an array")
@@ -611,7 +615,7 @@ def _from_json(obj: object, depth: int) -> Derivation:
     elif "label" in obj:
         raise ProofFormatError(f"{rule.value} must not carry 'label'")
     return Derivation(rule, conclusion,
-                      tuple(_from_json(p, depth + 1) for p in premises),
+                      tuple(_from_json(p, depth + 1, parsed) for p in premises),
                       discharge=discharge, label=label)
 
 

@@ -7,23 +7,28 @@ strategies for property tests that benefit from shrinking.  The reference
 evaluators recurse over a formula with the matrix tables or the option's
 truth-set clauses, independently of the block engine behind the library's
 evaluators; the reference scans enumerate interpretations one at a time
-with them, and the engine must agree with them exactly.
+with them, and the engine must agree with them exactly.  The reference
+parser is the recursive-descent parser the library's one-pass parser
+must agree with, results and errors alike.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import count, product
 
 from hypothesis import strategies as st
 
 from cnl4.fc import BinaryTable, UnaryTable
 from cnl4.formula import (
+    MAX_DEPTH,
     And,
     Atom,
     Formula,
     Neg,
     Or,
+    ParseError,
     Sequent,
     sequent_variables,
     subformulas,
@@ -262,6 +267,168 @@ def rules_used(d: Derivation) -> set[Rule]:
     for premise in d.premises:
         used |= rules_used(premise)
     return used
+
+
+# The reference parser: a tokenizer of frozen-dataclass tokens and a
+# recursive-descent parser with one token of lookahead.  The library's
+# one-pass parser must give the same formula, or the same error position
+# and message, on every input.
+
+_TOK_NAME = "name"
+_TOK_NOT = "~"
+_TOK_AND = "&"
+_TOK_OR = "|"
+_TOK_LPAREN = "("
+_TOK_RPAREN = ")"
+_TOK_COMMA = ","
+_TOK_TURNSTILE = "|-"
+_TOK_EOF = "end of input"
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    position: int  # 1-based offset of the first character
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        pos = i + 1
+        if c == "|" and i + 1 < n and text[i + 1] == "-":
+            tokens.append(_Token(_TOK_TURNSTILE, "|-", pos))
+            i += 2
+        elif c in "~&|(),":
+            kind = {"~": _TOK_NOT, "&": _TOK_AND, "|": _TOK_OR,
+                    "(": _TOK_LPAREN, ")": _TOK_RPAREN, ",": _TOK_COMMA}[c]
+            tokens.append(_Token(kind, c, pos))
+            i += 1
+        elif c.islower() and c.isascii() and c.isalpha():
+            j = i + 1
+            while j < n and (text[j].isascii() and (text[j].isalnum() or text[j] == "_")):
+                j += 1
+            tokens.append(_Token(_TOK_NAME, text[i:j], pos))
+            i = j
+        else:
+            raise ParseError(pos, f"unexpected character {c!r}")
+    tokens.append(_Token(_TOK_EOF, "", n + 1))
+    return tokens
+
+
+class _Parser:
+    """Each rule returns a formula with its depth, so the depth bound
+    covers chains of binary connectives as well as nesting; ``level``
+    counts the parentheses the parser is inside, which bounds its own
+    recursion."""
+
+    def __init__(self, text: str) -> None:
+        self.tokens = _tokenize(text)
+        self.index = 0
+        self.level = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.index]
+        self.index += 1
+        return token
+
+    def expect(self, kind: str) -> _Token:
+        token = self.peek()
+        if token.kind != kind:
+            raise ParseError(token.position, f"expected '{kind}'")
+        return self.advance()
+
+    def formula(self) -> Formula:
+        return self.disj()[0]
+
+    @staticmethod
+    def too_deep(token: _Token) -> ParseError:
+        return ParseError(token.position, f"formula nested deeper than {MAX_DEPTH} levels")
+
+    def disj(self) -> tuple[Formula, int]:
+        left, depth = self.conj()
+        while self.peek().kind == _TOK_OR:
+            token = self.advance()
+            right, right_depth = self.conj()
+            left, depth = Or(left, right), (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise self.too_deep(token)
+        return left, depth
+
+    def conj(self) -> tuple[Formula, int]:
+        left, depth = self.neg()
+        while self.peek().kind == _TOK_AND:
+            token = self.advance()
+            right, right_depth = self.neg()
+            left, depth = And(left, right), (depth if depth > right_depth else right_depth) + 1
+            if depth > MAX_DEPTH:
+                raise self.too_deep(token)
+        return left, depth
+
+    def neg(self) -> tuple[Formula, int]:
+        token = self.advance()
+        if token.kind == _TOK_NAME:
+            return Atom(token.text), 0
+        # a run of ~ is read in a loop and wrapped round its operand, so
+        # only parentheses make the parser recurse
+        first = self.index - 1
+        while token.kind == _TOK_NOT:
+            token = self.advance()
+        negations = self.index - 1 - first
+        if token.kind == _TOK_NAME:
+            f, depth = Atom(token.text), 0
+        elif token.kind == _TOK_LPAREN:
+            self.level += 1
+            if self.level > MAX_DEPTH:
+                raise self.too_deep(token)
+            f, depth = self.disj()
+            self.expect(_TOK_RPAREN)
+            self.level -= 1
+        else:
+            raise ParseError(token.position, "expected a formula")
+        if depth + negations > MAX_DEPTH:
+            # the ~ that takes the depth past the bound
+            raise self.too_deep(self.tokens[first + negations - 1 - (MAX_DEPTH - depth)])
+        for _ in range(negations):
+            f = Neg(f)
+        return f, depth + negations
+
+    def end(self) -> None:
+        token = self.peek()
+        if token.kind != _TOK_EOF:
+            raise ParseError(token.position, "unexpected trailing input")
+
+
+def reference_parse(text: str) -> Formula:
+    """Parse a single formula; raise :class:`ParseError` on bad input."""
+    parser = _Parser(text)
+    result = parser.formula()
+    parser.end()
+    return result
+
+
+def reference_parse_sequent(text: str) -> Sequent:
+    """Parse ``P1, P2 |- C``.  The premise list may be empty."""
+    parser = _Parser(text)
+    premises: list[Formula] = []
+    if parser.peek().kind != _TOK_TURNSTILE:
+        premises.append(parser.formula())
+        while parser.peek().kind == _TOK_COMMA:
+            parser.advance()
+            premises.append(parser.formula())
+    parser.expect(_TOK_TURNSTILE)
+    conclusion = parser.formula()
+    parser.end()
+    return Sequent(tuple(premises), conclusion)
 
 
 def reference_evaluate(f: Formula, interpretation) -> Value:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnl4.formula import (
     MAX_DEPTH,
@@ -23,9 +26,22 @@ from cnl4.formula import (
     substitute,
     variables,
 )
-from helpers import deep_formula_texts, formula_strategy
+from helpers import (
+    deep_formula_texts,
+    formula_strategy,
+    reference_parse,
+    reference_parse_sequent,
+)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
+
+
+def outcome(parser, text: str):
+    """The parsed formula or sequent, or the error's position and message."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return exc.position, exc.message
 
 
 @pytest.mark.parametrize(
@@ -118,10 +134,13 @@ def test_parse_refuses_formulas_past_the_depth_bound(shape) -> None:
 
 def test_depth_error_points_at_the_connective_past_the_bound() -> None:
     for text, position in (("~" * (MAX_DEPTH + 5) + "p", 5),
-                           (" & ".join(["p"] * (MAX_DEPTH + 5)), 4 * (MAX_DEPTH + 1) - 1)):
+                           ("~" * 3000 + "p", 3000 - MAX_DEPTH),
+                           (" & ".join(["p"] * (MAX_DEPTH + 5)), 4 * (MAX_DEPTH + 1) - 1),
+                           (" & ".join(["p"] * 5000), 4 * (MAX_DEPTH + 1) - 1)):
         with pytest.raises(ParseError) as exc_info:
             parse(text)
         assert exc_info.value.position == position
+        assert outcome(parse, text) == outcome(reference_parse, text)
 
 
 def test_parenthesis_nesting_is_bounded_too() -> None:
@@ -129,6 +148,27 @@ def test_parenthesis_nesting_is_bounded_too() -> None:
     with pytest.raises(ParseError, match=str(MAX_DEPTH)) as exc_info:
         parse("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1))
     assert exc_info.value.position == MAX_DEPTH + 1
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_parser_does_not_recurse() -> None:
+    # each unit opens three parentheses and adds ~, & and | to the depth
+    mixed = "~(p & (q | (" * (MAX_DEPTH // 3) + "~~r" + ")))" * (MAX_DEPTH // 3)
+    texts = ["(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, mixed]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 30)
+    try:
+        results = [parse(text) for text in texts]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert results == [reference_parse(text) for text in texts]
+    assert results[0] == P
 
 
 def test_parse_sequent_examples() -> None:
@@ -185,3 +225,42 @@ def test_format_is_deterministic(f) -> None:
 def test_atoms_are_hashable_values() -> None:
     assert Atom("p") == Atom("p")
     assert len({Atom("p"), Atom("p"), Atom("q")}) == 2
+
+
+# ---------------------------------------------------------------------------
+# The parser against the reference parser
+
+_JUNK = "pqxy1A_~&|(),- \t\u00a0@\u00e9"
+
+
+@st.composite
+def parser_inputs(draw) -> str:
+    """Junk strings, formula and sequent renderings with up to three
+    character edits, and nests just inside and just past the depth bound."""
+    kind = draw(st.sampled_from(["junk", "formula", "sequent", "deep"]))
+    if kind == "junk":
+        return draw(st.text(alphabet=_JUNK, max_size=24))
+    if kind == "formula":
+        text = format_formula(draw(formula_strategy()))
+    elif kind == "sequent":
+        premises = draw(st.lists(formula_strategy(max_leaves=6), max_size=3))
+        text = format_sequent(Sequent(tuple(premises), draw(formula_strategy(max_leaves=6))))
+    else:
+        depth = draw(st.integers(MAX_DEPTH - 1, MAX_DEPTH + 2))
+        shapes = deep_formula_texts(depth)
+        shapes["parentheses"] = "(" * depth + "p" + ")" * depth
+        shapes["disjunctions"] = " | ".join(["p"] * (depth + 1))
+        text = shapes[draw(st.sampled_from(sorted(shapes)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from(_JUNK))
+        text = draw(st.sampled_from([text[:i] + c + text[i:], text[:i] + text[i + 1:],
+                                     text[:i] + c + text[i + 1:]]))
+    return text
+
+
+@settings(max_examples=400)
+@given(parser_inputs())
+def test_parsers_agree_with_the_reference_parser(text: str) -> None:
+    assert outcome(parse, text) == outcome(reference_parse, text)
+    assert outcome(parse_sequent, text) == outcome(reference_parse_sequent, text)

@@ -27,6 +27,7 @@ from cnl4.formula import (
     parse,
     parse_sequent,
     sequent_variables,
+    subformulas,
 )
 from cnl4.matrix import CapExceededError, is_consequence
 from cnl4.nd import (
@@ -39,15 +40,12 @@ from cnl4.nd import (
     ProofFormatError,
     Rule,
     and_e_l,
-    and_e_r,
     and_i,
     check,
     corpus,
     derivation_sequent,
     from_json_dict,
     hyp,
-    nand_e_l,
-    nand_i,
     nn1,
     nn2,
     nor_e,
@@ -594,6 +592,39 @@ def test_from_json_dict_bounds_proof_depth() -> None:
 def test_from_json_dict_propagates_formula_parse_errors() -> None:
     with pytest.raises(ParseError):
         from_json_dict({"rule": "NN2", "conclusion": "p | ~~", "premises": []})
+    # nodes are read depth first, each conclusion before its premises, so
+    # the first of the two "p |" nodes fails before the shallower "(q"
+    tree = {"rule": "AndI", "conclusion": "p & q", "premises": [
+        {"rule": "AndE_L", "conclusion": "p", "premises": [
+            {"rule": "Hyp", "label": "a", "conclusion": "p |"}]},
+        {"rule": "Hyp", "label": "b", "conclusion": "(q"},
+        {"rule": "Hyp", "label": "c", "conclusion": "p |"}]}
+    with pytest.raises(ParseError) as exc_info:
+        from_json_dict(tree)
+    assert (exc_info.value.position, exc_info.value.message) == (4, "expected a formula")
+
+
+def _conclusions(obj: dict, d: Derivation):
+    """(text, formula) for every node of a JSON tree and its derivation."""
+    yield obj["conclusion"], d.conclusion
+    for sub_obj, sub_d in zip(obj["premises"], d.premises):
+        yield from _conclusions(sub_obj, sub_d)
+
+
+def test_from_json_dict_parses_equal_texts_once_per_tree() -> None:
+    repeats = 0
+    for entry in corpus():
+        obj = to_json_dict(entry.derivation)
+        first, second = from_json_dict(obj), from_json_dict(obj)
+        by_text: dict = {}
+        for text, f in _conclusions(obj, first):
+            repeats += text in by_text
+            assert by_text.setdefault(text, f) is f
+        # two loads share no formula object, so no cache outlives a call
+        seen = {id(g) for _, f in _conclusions(obj, first) for g in subformulas(f)}
+        assert not any(id(g) in seen for _, f in _conclusions(obj, second)
+                       for g in subformulas(f))
+    assert repeats
 
 
 def test_render_derivation_shows_structure() -> None:
