@@ -5,6 +5,10 @@ with i and j incomparable.  Conjunction is lattice meet, disjunction is
 lattice join, and negation is the four-cycle 1 -> i -> 0 -> j -> 1.  The
 designated values are 1 and i; consequence is preservation of
 designation under every interpretation.
+
+The matrix is defined once, as O1's truth-set clauses
+(:func:`matrix_clauses`); the tables :data:`NEG`, :data:`AND` and
+:data:`OR` are read off that clause set by :func:`connective_tables`.
 """
 
 from __future__ import annotations
@@ -41,33 +45,6 @@ CANONICAL_ORDER: tuple[Value, ...] = (V1, VI, VJ, V0)
 WITNESS_ORDER: tuple[Value, ...] = (V1, VI, V0, VJ)
 
 DESIGNATED: frozenset[Value] = frozenset({V1, VI})
-
-NEG: dict[Value, Value] = {V1: VI, VI: V0, VJ: V1, V0: VJ}
-
-
-def _binary_table(rows: Mapping[Value, str]) -> dict[tuple[Value, Value], Value]:
-    table: dict[tuple[Value, Value], Value] = {}
-    for left, cells in rows.items():
-        for right, cell in zip(CANONICAL_ORDER, cells.split()):
-            table[(left, right)] = Value(cell)
-    return table
-
-
-# Meet and join of the diamond lattice, rows keyed by the left argument,
-# columns in canonical order 1 i j 0.
-AND: dict[tuple[Value, Value], Value] = _binary_table({
-    V1: "1 i j 0",
-    VI: "i i 0 0",
-    VJ: "j 0 j 0",
-    V0: "0 0 0 0",
-})
-
-OR: dict[tuple[Value, Value], Value] = _binary_table({
-    V1: "1 1 1 1",
-    VI: "1 i 1 i",
-    VJ: "1 1 j j",
-    V0: "1 i j 0",
-})
 
 
 def neg(a: Value) -> Value:
@@ -133,6 +110,25 @@ def matrix_clauses(order: Sequence[Value]) -> Clauses:
         disj=lambda a1, a0, b1, b0: (a1 | b1, a0 & b0),
         designated=lambda a1, a0, full: a1,
     )
+
+
+def connective_tables(clauses: Clauses, values: Sequence) -> tuple[dict, dict, dict]:
+    """The ~, & and | tables of ``clauses``, read off by applying them to
+    single bits; code ``clauses.codes[k]`` names ``values[k]``."""
+    named = dict(zip(clauses.codes, values))
+
+    def read(planes: tuple[int, int]):
+        return named[bool(planes[0]), bool(planes[1])]
+
+    pairs = [(a, b) for a in named.items() for b in named.items()]
+    return ({v: read(clauses.neg(*code, 1)) for code, v in named.items()},
+            {(a, b): read(clauses.conj(*ac, *bc)) for (ac, a), (bc, b) in pairs},
+            {(a, b): read(clauses.disj(*ac, *bc)) for (ac, a), (bc, b) in pairs})
+
+
+#: The connective tables, keyed in canonical order: negation is the
+#: four-cycle, conjunction and disjunction are meet and join.
+NEG, AND, OR = connective_tables(matrix_clauses(CANONICAL_ORDER), CANONICAL_ORDER)
 
 
 def evaluate(f: Formula, interpretation: Interpretation) -> Value:

@@ -238,13 +238,11 @@ def _merge(path: tuple[int, ...], rule: Rule,
 
 def _discharge(path: tuple[int, ...], rule: Rule, open_map: _Open,
                label: str, case: Formula) -> None:
-    if label in open_map:
-        for f in open_map[label]:
-            if f != case:
-                _fail(path, rule,
-                      f"hypothesis {label!r} is {format_formula(f)}, "
-                      f"but the case formula is {format_formula(case)}")
-        del open_map[label]
+    # report the mismatch that renders first, as _merge reports labels
+    wrong = sorted(format_formula(f) for f in open_map.pop(label, ()) if f != case)
+    if wrong:
+        _fail(path, rule, f"hypothesis {label!r} is {wrong[0]}, "
+                          f"but the case formula is {format_formula(case)}")
 
 
 def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
@@ -358,8 +356,6 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
         open_map, discharged = _merge(
             path, rule, [(open_major, dis_major), (open_l, dis_l), (open_r, dis_r)])
         return open_map, discharged | {label_l, label_r}
-    else:  # pragma: no cover - all rules handled above
-        _fail(path, rule, "unhandled rule")
 
     return _merge(path, rule, results)
 
@@ -389,8 +385,10 @@ def search(s: Sequent, depth: int = DEFAULT_DEPTH) -> Derivation | None:
     result.  ``None`` means the sequent is matrix-invalid, so by soundness
     it has no derivation (checked before searching, up to ``DEFAULT_CAP``
     variables), or that no derivation was found within the bound.  Raises
-    ``ValueError`` when ``depth`` exceeds :data:`MAX_SEARCH_DEPTH`.
+    ``ValueError`` when ``depth`` is below 1 or exceeds :data:`MAX_SEARCH_DEPTH`.
     """
+    if depth < 1:
+        raise ValueError(f"search depth {depth} is below 1")
     if depth > MAX_SEARCH_DEPTH:
         raise ValueError(f"search depth {depth} exceeds the bound of {MAX_SEARCH_DEPTH}")
     try:
@@ -417,9 +415,6 @@ def _find(assumptions: list[tuple[str, Formula]], f: Formula) -> str | None:
 
 def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
            depth: int, fresh: "itertools.count[int]") -> Derivation | None:
-    if depth < 1:
-        return None
-
     label = _find(assumptions, goal)
     if label is not None:
         return hyp(label, goal)

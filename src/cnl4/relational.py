@@ -37,6 +37,7 @@ from .matrix import (
     Value,
     Verdict,
     compile_within_cap,
+    connective_tables,
     evaluate_point,
     matrix_clauses,
     render_table_lines,
@@ -220,13 +221,8 @@ def option_clauses(option: OptionReading, order: Sequence[Value]) -> Clauses:
     return Clauses(codes, neg, conj, disj, designated)
 
 
-#: A relational verdict is a :class:`~cnl4.matrix.Verdict` whose witness
-#: assigns truth sets.
-RelVerdict = Verdict
-
-
 def rel_consequence(option: OptionReading, s: Sequent,
-                    cap: int = DEFAULT_CAP) -> RelVerdict:
+                    cap: int = DEFAULT_CAP) -> Verdict:
     """Consequence over relational interpretations, per the option's clauses.
 
     Computed entirely on the truth-set side; agreement with the matrix
@@ -306,17 +302,8 @@ class OptionTables:
 
 def option_tables(option: OptionReading) -> OptionTables:
     """Connective tables over t/b/n/f: the option's clauses on single bits."""
-    clauses = option_clauses(option, CANONICAL_ORDER)
-
-    def fde(planes: tuple[int, int]) -> FdeValue:
-        return FDE_OF_SET[TruthSet(bool(planes[0]), bool(planes[1]))]
-
-    bits = {w: (s.has1, s.has0) for w, s in TRUTH_SETS.items()}
-    pairs = [(w1, w2) for w1 in FDE_ORDER for w2 in FDE_ORDER]
-    return OptionTables(
-        {w: fde(clauses.neg(*bits[w], 1)) for w in FDE_ORDER},
-        {(w1, w2): fde(clauses.conj(*bits[w1], *bits[w2])) for w1, w2 in pairs},
-        {(w1, w2): fde(clauses.disj(*bits[w1], *bits[w2])) for w1, w2 in pairs})
+    return OptionTables(*connective_tables(option_clauses(option, CANONICAL_ORDER),
+                                           [option.value_map[v] for v in CANONICAL_ORDER]))
 
 
 def option_table_lines(option: OptionReading) -> list[str]:

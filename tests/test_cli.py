@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface.
 
-Everything goes through run(argv) in-process; capsys collects the output.
+Everything goes through run(argv) in-process, where capsys collects the
+output, except the hash-seed test, which needs one interpreter per seed.
 Exit code contract: 0 success/valid, 1 invalid (countermodel printed),
 2 failed check/verification, 3 usage or parse error.
 """
@@ -8,9 +9,13 @@ Exit code contract: 0 success/valid, 1 invalid (countermodel printed),
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cnl4
 from cnl4.cli import run
 from cnl4.formula import MAX_DEPTH
 from cnl4.nd import (
@@ -264,6 +269,30 @@ def test_check_proof_rule_violation_json(capsys, tmp_path) -> None:
     assert payload["ok"] is False
     assert payload["error"]["rule"] == "AndI"
     assert payload["error"]["path"] == []
+
+
+def test_check_proof_error_is_independent_of_the_hash_seed(tmp_path) -> None:
+    # h2 labels both a and b, so the discharge check sees a two-element set
+    hyp_a, hyp_b = ({"rule": "Hyp", "label": "h2", "conclusion": c} for c in "ab")
+    proof = {"rule": "OrE", "conclusion": "a", "discharge": ["h2", "h3"], "premises": [
+        {"rule": "Hyp", "label": "h1", "conclusion": "p | q"},
+        {"rule": "AndE_L", "conclusion": "a", "premises": [
+            {"rule": "AndI", "conclusion": "a & b", "premises": [hyp_a, hyp_b]}]},
+        {"rule": "Hyp", "label": "h4", "conclusion": "a"},
+    ]}
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(proof))
+    src = str(Path(cnl4.__file__).parents[1])
+    outputs = set()
+    for seed in range(8):
+        done = subprocess.run(
+            [sys.executable, "-m", "cnl4.cli", "check-proof", str(path), "--format", "json"],
+            capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+        assert done.returncode == 2
+        outputs.add(done.stdout)
+    [out] = outputs
+    assert json.loads(out)["error"]["message"] == (
+        "hypothesis 'h2' is a, but the case formula is p")
 
 
 def test_check_proof_malformed_json(capsys, tmp_path) -> None:

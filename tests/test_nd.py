@@ -159,6 +159,78 @@ def test_check_rejects_malformed_nodes(bad: Derivation) -> None:
         check(bad)
 
 
+_OR_E_PREMISES = (hyp("h1", Or(P, P)), hyp("h2", P), hyp("h3", P))
+
+
+@pytest.mark.parametrize(
+    ("bad", "path", "rule", "message"),
+    [
+        pytest.param(Derivation("Bogus", P), (), None, "unknown rule 'Bogus'",
+                     id="unknown-rule"),
+        pytest.param(Derivation(Rule.HYP, P, label=""), (), Rule.HYP,
+                     "hypothesis label must be a non-empty string", id="empty-label"),
+        pytest.param(Derivation(Rule.AND_E_R, P, (hyp("h1", And(P, Q)),)), (), Rule.AND_E_R,
+                     "conclusion must be q", id="andE-conclusion"),
+        pytest.param(Derivation(Rule.OR_I_L, P, (hyp("h1", P),)), (), Rule.OR_I_L,
+                     "conclusion must be a disjunction", id="orI-conclusion"),
+        pytest.param(Derivation(Rule.NAND_I, Neg(And(Q, P)),
+                                (hyp("h1", Neg(P)), hyp("h2", Neg(Q)))), (), Rule.NAND_I,
+                     "conclusion must negate the conjunction of the premises' bodies",
+                     id="nandI-conclusion"),
+        pytest.param(Derivation(Rule.NAND_E_L, Neg(P), (hyp("h1", And(P, Q)),)), (),
+                     Rule.NAND_E_L, "premise must be a negated conjunction", id="nandE-premise"),
+        pytest.param(Derivation(Rule.NAND_E_R, Neg(P), (hyp("h1", Neg(And(P, Q))),)), (),
+                     Rule.NAND_E_R, "conclusion must be ~q", id="nandE-conclusion"),
+        pytest.param(Derivation(Rule.NOR_I_L, Neg(Or(P, Q)), (hyp("h1", P),)), (),
+                     Rule.NOR_I_L, "premise must be a negation", id="norI-premise"),
+        pytest.param(Derivation(Rule.NOR_I_L, Or(P, Q), (hyp("h1", Neg(P)),)), (),
+                     Rule.NOR_I_L, "conclusion must be a negated disjunction",
+                     id="norI-conclusion"),
+        pytest.param(Derivation(Rule.NOR_I_R, Neg(Or(P, Q)), (hyp("h1", Neg(P)),)), (),
+                     Rule.NOR_I_R, "premise must negate the matching disjunct",
+                     id="norI-disjunct"),
+        pytest.param(Derivation(Rule.OR_E, P, (hyp("h1", P), *_OR_E_PREMISES[1:]), ("h2", "h3")),
+                     (), Rule.OR_E, "major premise must be a disjunction", id="orE-major"),
+        pytest.param(Derivation(Rule.NOR_E, P, _OR_E_PREMISES, ("h2", "h3")), (), Rule.NOR_E,
+                     "major premise must be a negated disjunction", id="norE-major"),
+        pytest.param(Derivation(Rule.OR_E, P, _OR_E_PREMISES, ("h2", "h3", "h4")), (), Rule.OR_E,
+                     "discharge must name exactly two labels", id="three-labels"),
+        pytest.param(or_e(hyp("h3", Or(P, P)), hyp("h2", P), hyp("h3", P), ("h2", "h3")),
+                     (), Rule.OR_E,
+                     "discharged label 'h3' is still open outside its case branch",
+                     id="right-label-open"),
+        pytest.param(and_i(hyp("h0", Q), and_i(or_e(*_OR_E_PREMISES, ("h2", "h3")), hyp("h2", P))),
+                     (1,), Rule.AND_I,
+                     "label 'h2' is discharged in one branch but used in a sibling branch",
+                     id="sibling-clash"),
+    ],
+)
+def test_check_rejection_names_path_rule_and_message(bad, path, rule, message) -> None:
+    with pytest.raises(DerivationError) as exc_info:
+        check(bad)
+    assert (exc_info.value.path, exc_info.value.rule, exc_info.value.message) == (
+        path, rule, message)
+
+
+_BUILDER_ERRORS = [
+    (nd.and_e_l, (hyp("h1", P),), "AndE_L needs a conjunction premise"),
+    (nd.and_e_r, (hyp("h1", Or(P, Q)),), "AndE_R needs a conjunction premise"),
+    (nd.nand_i, (hyp("h1", Neg(P)), hyp("h2", Q)), "NAndI needs two negation premises"),
+    (nd.nand_e_l, (hyp("h1", Neg(P)),), "NAndE_L needs a negated conjunction premise"),
+    (nd.nand_e_r, (hyp("h1", And(P, Q)),), "NAndE_R needs a negated conjunction premise"),
+    (nd.nor_i_l, (hyp("h1", P), Q), "NOrI_L needs a negation premise"),
+    (nd.nor_i_r, (hyp("h1", P), Q), "NOrI_R needs a negation premise"),
+]
+
+
+@pytest.mark.parametrize(("build", "args", "message"), _BUILDER_ERRORS,
+                         ids=[message.split()[0] for _, _, message in _BUILDER_ERRORS])
+def test_builders_refuse_premises_of_the_wrong_shape(build, args, message) -> None:
+    with pytest.raises(ValueError) as exc_info:
+        build(*args)
+    assert str(exc_info.value) == message
+
+
 def test_one_label_bound_to_two_formulas_stays_open() -> None:
     # Reusing a label for a different formula is legal while the label is
     # open; both formulas count as assumptions.
@@ -335,6 +407,14 @@ def test_search_explosion_at_depth_two() -> None:
 def test_search_depth_bound_is_respected() -> None:
     assert search(parse_sequent("p, ~~p |- q"), depth=1) is None
     assert search(parse_sequent("~p, ~q |- ~(p & q)"), depth=1) is None
+
+
+def test_search_refuses_depths_below_one() -> None:
+    sequent = parse_sequent("p |- p")
+    assert search(sequent, 1) == hyp("p1", P)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"search depth {depth} is below 1"):
+            search(sequent, depth)
 
 
 def test_search_completes_at_the_search_depth_bound(monkeypatch) -> None:
@@ -574,6 +654,11 @@ def test_json_discharge_shape() -> None:
 def test_from_json_dict_rejects_malformed_input(obj) -> None:
     with pytest.raises(ProofFormatError):
         from_json_dict(obj)
+
+
+def test_from_json_dict_requires_a_conclusion() -> None:
+    with pytest.raises(ProofFormatError, match="^proof node is missing 'conclusion'$"):
+        from_json_dict({"rule": "NN2", "premises": []})
 
 
 @pytest.mark.parametrize("conclusion", [5, ["p"], None])
