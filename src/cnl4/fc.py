@@ -20,8 +20,7 @@ Three ingredients:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .formula import And, Atom, Formula, Neg, Or, format_formula, parse, substitute, variables
 from .matrix import AND, BITS, CANONICAL_ORDER, NEG, OR, Value, truth_table
@@ -33,8 +32,7 @@ class ReservedVariableError(Exception):
     """A term mentions atoms outside its reserved variable set."""
 
 
-@dataclass(frozen=True)
-class UnaryTable:
+class UnaryTable(NamedTuple):
     """A unary function on the carrier, tabulated in canonical order."""
 
     outputs: tuple[Value, Value, Value, Value]
@@ -46,8 +44,7 @@ class UnaryTable:
         return ",".join(f"{a}:{self.apply(a)}" for a in CANONICAL_ORDER)
 
 
-@dataclass(frozen=True)
-class BinaryTable:
+class BinaryTable(NamedTuple):
     """A binary function on the carrier, tabulated row-major."""
 
     outputs: tuple[Value, ...]  # 16 entries, left argument major
@@ -135,8 +132,7 @@ def constant_table(a: Value) -> UnaryTable:
     return unary_table(lambda _: a)
 
 
-@dataclass(frozen=True)
-class PointCheck:
+class PointCheck(NamedTuple):
     term_name: str
     argument: Value
     expected: Value
@@ -155,8 +151,7 @@ def delta_c_point_checks(tables: Mapping[str, UnaryTable]) -> list[PointCheck]:
             for name, table in expected.items() for b in CANONICAL_ORDER]
 
 
-@dataclass(frozen=True)
-class DeltaCReport:
+class DeltaCReport(NamedTuple):
     checks: tuple[PointCheck, ...]
     bool_neg_table: UnaryTable
 
@@ -221,8 +216,7 @@ def _unary_table(t: int) -> UnaryTable:
     return UnaryTable(tuple(_VALUE_OF_CODE[t >> 2 * _CODE[v] & 3] for v in CANONICAL_ORDER))
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     """Tables reached from {x, ~x}, each with its smallest-found witness."""
 
     witnesses: dict[UnaryTable, Formula]
@@ -350,8 +344,7 @@ def is_surjective(f: BinaryTable) -> bool:
     return set(f.outputs) == set(CANONICAL_ORDER)
 
 
-@dataclass(frozen=True)
-class SlupeckiReport:
+class SlupeckiReport(NamedTuple):
     """The two-condition completeness criterion, instantiated with &."""
 
     closure_size: int

@@ -22,9 +22,8 @@ The printer emits minimal parentheses and round-trips exactly:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class ParseError(Exception):
@@ -41,38 +40,106 @@ class ParseError(Exception):
 
 
 class Formula:
-    """Base class for formula nodes.  Nodes are immutable and hashable."""
+    """Base class for formula nodes.
+
+    Nodes are immutable: assigning or deleting a field raises
+    :class:`AttributeError`.  Two nodes are equal when they have the same
+    class and equal fields, and equal nodes hash alike; ``repr`` names
+    every field.  ``_fields`` lists a node class's fields in order.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # __setattr__ refuses the field-by-field restore of pickle and copy
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+# Each node class spells out its own __eq__ and __hash__ over the tuple of
+# its fields; comparing tuples skips identical children without recursing.
+# And and Or do not share theirs: the interpreter caches attribute loads
+# per code object and class, so one method serving both would keep missing
+# its cache on trees that mix them.
+_set = object.__setattr__
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Atom:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class Neg(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        _set(self, "body", body)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Neg:
+            return (self.body,) == (other.body,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is And:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Or(_Binary):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Or:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class Sequent(NamedTuple):
     """Premises and a conclusion; premises keep their given order."""
 
     premises: tuple[Formula, ...]

@@ -13,10 +13,9 @@ The matrix is defined once, as O1's truth-set clauses
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import Clauses, Program
 from .formula import Formula, Sequent
@@ -192,8 +191,7 @@ def truth_table(f: Formula, cap: int = DEFAULT_CAP) -> list[tuple[dict[str, Valu
     return list(zip(interpretations(program.names), values))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a consequence check.
 
     ``witness`` is the first countermodel in scan order, each variable's

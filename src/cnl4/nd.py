@@ -16,8 +16,8 @@ together with the conclusion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .formula import And, Atom, Formula, Neg, Or, Sequent, format_formula, parse
 from .matrix import DEFAULT_CAP, CapExceededError, is_consequence
@@ -59,9 +59,10 @@ class Rule(Enum):
 #: Rules whose nodes discharge hypotheses (second and third premises).
 DISCHARGING_RULES = frozenset({Rule.OR_E, Rule.NOR_E})
 
+_RULE_OF_NAME = {rule.value: rule for rule in Rule}
 
-@dataclass(frozen=True)
-class Derivation:
+
+class Derivation(NamedTuple):
     """One node of a derivation tree.
 
     ``discharge`` is a pair (left-case label, right-case label), present
@@ -75,8 +76,7 @@ class Derivation:
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class CheckedSequent:
+class CheckedSequent(NamedTuple):
     """Open assumptions (as a set of formulas) and conclusion."""
 
     open_assumptions: frozenset[Formula]
@@ -495,8 +495,7 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
 # --------------------------------------------------------------------------
 # Bundled corpus
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     derivation: Derivation
 
@@ -574,12 +573,13 @@ def _from_json(obj: object, depth: int, parsed: dict[str, Formula]) -> Derivatio
         raise ProofFormatError(f"proof nested deeper than {MAX_PROOF_DEPTH} levels")
     if not isinstance(obj, dict):
         raise ProofFormatError("proof node must be a JSON object")
-    try:
-        rule = Rule(obj["rule"])
-    except KeyError:
-        raise ProofFormatError("proof node is missing 'rule'") from None
-    except ValueError:
-        raise ProofFormatError(f"unknown rule {obj['rule']!r}") from None
+    if "rule" not in obj:
+        raise ProofFormatError("proof node is missing 'rule'")
+    name = obj["rule"]
+    # only a string names a rule; a JSON array or object is not even hashable
+    rule = _RULE_OF_NAME.get(name) if isinstance(name, str) else None
+    if rule is None:
+        raise ProofFormatError(f"unknown rule {name!r}")
     if "conclusion" not in obj:
         raise ProofFormatError("proof node is missing 'conclusion'")
     text = obj["conclusion"]

@@ -23,9 +23,8 @@ the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .engine import Clauses
 from .formula import Formula, Sequent
@@ -60,12 +59,38 @@ class FdeValue(Enum):
 FDE_ORDER: tuple[FdeValue, ...] = (FdeValue.T, FdeValue.B, FdeValue.N, FdeValue.F)
 
 
-@dataclass(frozen=True)
 class TruthSet:
-    """A subset of {1, 0}, tracked as two membership flags."""
+    """A subset of {1, 0}, tracked as two membership flags.
 
-    has1: bool
-    has0: bool
+    Immutable, and equal only to another truth set with the same flags,
+    so that :func:`rel_eval` refuses a bare pair such as ``(True, False)``.
+    """
+
+    __slots__ = ("has1", "has0")
+
+    def __init__(self, has1: bool, has0: bool) -> None:
+        object.__setattr__(self, "has1", has1)
+        object.__setattr__(self, "has0", has0)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is TruthSet:
+            return self.has1 == other.has1 and self.has0 == other.has0
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.has1, self.has0))
+
+    def __repr__(self) -> str:
+        return f"TruthSet(has1={self.has1!r}, has0={self.has0!r})"
+
+    def __reduce__(self) -> tuple:
+        return TruthSet, (self.has1, self.has0)
 
     def __str__(self) -> str:
         members = [m for m, present in (("1", self.has1), ("0", self.has0)) if present]
@@ -111,8 +136,7 @@ class Preservation(Enum):
     FALSITY = "falsity"
 
 
-@dataclass(frozen=True)
-class OptionReading:
+class OptionReading(NamedTuple):
     id: str
     value_map: Mapping[Value, FdeValue]
     neg_truth: NegTruthClause
@@ -235,15 +259,13 @@ def rel_consequence(option: OptionReading, s: Sequent,
                             [correspond(option, v) for v in WITNESS_ORDER])
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     interpretation: dict[str, Value]
     via_map: TruthSet
     via_clauses: TruthSet
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Comparison of the two evaluation routes for one formula.
 
     ``via_map`` translates the matrix value of the whole formula;
@@ -293,8 +315,7 @@ def check_option_equivalence(option: OptionReading, f: Formula,
     return EquivalenceReport(option.id, f, 4 ** len(program.names), tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class OptionTables:
+class OptionTables(NamedTuple):
     neg: dict[FdeValue, FdeValue]
     conj: dict[tuple[FdeValue, FdeValue], FdeValue]
     disj: dict[tuple[FdeValue, FdeValue], FdeValue]

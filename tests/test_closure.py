@@ -108,6 +108,17 @@ def test_import_builds_no_closure() -> None:
     assert out.stdout == "0\n"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect() -> None:
+    # each costs the start-up of every command; cnl4's records are
+    # NamedTuples and hand-written slotted classes instead
+    code = ("import sys, cnl4.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = str(Path(cnl4.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src})
+    assert out.stdout == "[]\n"
+
+
 def test_find_and_slupecki_share_one_closure_call(monkeypatch) -> None:
     # the shared cache calls the module-level name, so a wrapper sees it
     calls = []

@@ -12,7 +12,6 @@ evaluators and scans in ``helpers``, including across block boundaries.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.resources
 import itertools
 
@@ -160,9 +159,9 @@ def test_point_evaluation_equals_reference(f, option_id, inter) -> None:
 #: Every combination of negation clauses, falsity style and preservation,
 #: on O1's value map: the clause sets of O1-O4 and 20 others.
 READINGS = [
-    dataclasses.replace(OPTIONS["O1"], id="/".join(c.name for c in choice),
-                        neg_truth=choice[0], neg_falsity=choice[1],
-                        falsity_style=choice[2], preservation=choice[3])
+    OPTIONS["O1"]._replace(id="/".join(c.name for c in choice),
+                           neg_truth=choice[0], neg_falsity=choice[1],
+                           falsity_style=choice[2], preservation=choice[3])
     for choice in itertools.product(NegTruthClause, NegFalsityClause, FalsityStyle,
                                     Preservation)]
 
@@ -187,7 +186,7 @@ def test_designation_and_option_tables_equal_reference(option) -> None:
 def test_option_mismatches_equal_reference(f, option_id, style) -> None:
     """A reading whose falsity style may be wrong: both routes still report
     the same mismatches, in scan order."""
-    option = dataclasses.replace(OPTIONS[option_id], falsity_style=style)
+    option = OPTIONS[option_id]._replace(falsity_style=style)
     report = check_option_equivalence(option, f)
     assert list(report.mismatches) == reference_mismatches(option, f)
     assert report.checked == 4 ** len(variables(f))

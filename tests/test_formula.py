@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -225,6 +227,69 @@ def test_format_is_deterministic(f) -> None:
 def test_atoms_are_hashable_values() -> None:
     assert Atom("p") == Atom("p")
     assert len({Atom("p"), Atom("p"), Atom("q")}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Formulas as values
+
+_CONNECTIVES = {"atom": Atom, "neg": Neg, "and": And, "or": Or}
+
+
+def tagged_tuples(atoms: tuple[str, ...] = ("p", "q"), max_leaves: int = 4):
+    """Formulas encoded as tuples tagged by connective: ``("atom", name)``,
+    ``("neg", body)``, ``("and", left, right)`` or ``("or", left, right)``.
+    Two atoms and few leaves make equal pairs common."""
+    return st.recursive(
+        st.sampled_from(atoms).map(lambda name: ("atom", name)),
+        lambda sub: st.one_of(sub.map(lambda body: ("neg", body)),
+                              st.tuples(st.sampled_from(("and", "or")), sub, sub)),
+        max_leaves=max_leaves)
+
+
+def build(t: tuple):
+    """A formula of fresh node objects for a tagged tuple."""
+    if t[0] == "atom":
+        return Atom(t[1])
+    return _CONNECTIVES[t[0]](*map(build, t[1:]))
+
+
+@given(tagged_tuples(), tagged_tuples())
+def test_equality_and_hash_are_structural(s, t) -> None:
+    f, g = build(s), build(t)
+    assert (f == g) is (s == t)
+    assert (f != g) is (s != t)
+    twin = build(s)
+    assert twin is not f and twin == f and hash(twin) == hash(f)
+
+
+def test_connectives_with_the_same_operands_differ() -> None:
+    assert And(P, Q) != Or(P, Q)
+    assert not And(P, Q) == Or(P, Q)
+    assert Neg(P) != P and P != "p" and P != ("p",)
+
+
+def test_repr_names_every_field() -> None:
+    assert repr(parse("~p & q")) == "And(left=Neg(body=Atom(name='p')), right=Atom(name='q'))"
+    assert repr(parse("p | q")) == "Or(left=Atom(name='p'), right=Atom(name='q'))"
+
+
+@pytest.mark.parametrize("f, field", [(P, "name"), (Neg(P), "body"),
+                                      (And(P, Q), "left"), (Or(P, Q), "right")])
+def test_fields_cannot_be_assigned_or_deleted(f, field: str) -> None:
+    before = getattr(f, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(f, field, R)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(f, field)
+    with pytest.raises(AttributeError):
+        f.extra = R
+    assert getattr(f, field) is before
+
+
+@given(formula_strategy())
+def test_pickle_and_copy_give_back_an_equal_formula(f) -> None:
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert twin == f and type(twin) is type(f) and repr(twin) == repr(f)
 
 
 # ---------------------------------------------------------------------------

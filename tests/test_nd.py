@@ -656,6 +656,24 @@ def test_from_json_dict_rejects_malformed_input(obj) -> None:
         from_json_dict(obj)
 
 
+@pytest.mark.parametrize("rule, message", [
+    (["AndI"], "unknown rule ['AndI']"),
+    ({}, "unknown rule {}"),
+    (3, "unknown rule 3"),
+    (None, "unknown rule None"),
+    ("andI", "unknown rule 'andI'"),
+])
+def test_from_json_dict_names_an_unknown_rule(rule, message: str) -> None:
+    with pytest.raises(ProofFormatError) as info:
+        from_json_dict({"rule": rule, "conclusion": "p", "premises": []})
+    assert str(info.value) == message
+
+
+def test_from_json_dict_requires_a_rule() -> None:
+    with pytest.raises(ProofFormatError, match="^proof node is missing 'rule'$"):
+        from_json_dict({"conclusion": "p", "premises": []})
+
+
 def test_from_json_dict_requires_a_conclusion() -> None:
     with pytest.raises(ProofFormatError, match="^proof node is missing 'conclusion'$"):
         from_json_dict({"rule": "NN2", "premises": []})

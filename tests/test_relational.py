@@ -8,7 +8,9 @@ table files, and the equivalence of every reading with the matrix semantics.
 
 from __future__ import annotations
 
+import copy
 import importlib.resources
+import pickle
 import random
 
 import pytest
@@ -125,6 +127,26 @@ def test_rel_eval_conjunction_example() -> None:
 @pytest.mark.parametrize("s", [BOTH, JUST_1, JUST_0, NEITHER])
 def test_rel_eval_atom_base_case(option_id, s) -> None:
     assert rel_eval(get_option(option_id), Atom("p"), {"p": s}) == s
+
+
+@pytest.mark.parametrize("value, shown", [((True, False), "(True, False)"),
+                                          (FdeValue.T, "<FdeValue.T: 't'>")])
+def test_rel_eval_refuses_values_that_are_not_truth_sets(value, shown: str) -> None:
+    message = f"atom 'p' has value {shown}, not one of {{1}}, {{1,0}}, {{}}, {{0}}"
+    with pytest.raises(TypeError) as info:
+        rel_eval(OPTIONS["O1"], parse("p"), {"p": value})
+    assert str(info.value) == message
+
+
+def test_truth_sets_are_immutable_values() -> None:
+    assert TruthSet(True, False) == JUST_1 and hash(TruthSet(True, False)) == hash(JUST_1)
+    assert JUST_1 != (True, False) and JUST_1 != JUST_0
+    assert repr(BOTH) == "TruthSet(has1=True, has0=True)"
+    with pytest.raises(AttributeError, match="cannot assign to field 'has1'"):
+        JUST_1.has1 = False
+    with pytest.raises(AttributeError, match="cannot delete field 'has0'"):
+        del JUST_1.has0
+    assert pickle.loads(pickle.dumps(NEITHER)) == NEITHER == copy.deepcopy(NEITHER)
 
 
 @pytest.mark.parametrize(
