@@ -7,7 +7,7 @@ and the option-reading tables.
 
 Exit codes: 0 success/valid; 1 semantically invalid (a countermodel was
 found and printed); 2 check or verification failure; 3 usage or parse
-error.
+error; 4 internal error (a bug, reported in one line).
 """
 
 from __future__ import annotations
@@ -252,6 +252,18 @@ def cmd_search_proof(args: argparse.Namespace) -> int:
     s = parse_sequent(args.sequent)
     derivation = search(s, args.depth)
     if derivation is None:
+        try:  # within the default cap, tell an invalid sequent from a miss
+            witness = is_consequence(s).witness
+        except CapExceededError:
+            witness = None
+        if witness is not None:
+            if args.format == "json":
+                _emit_json({"found": False, "depth": args.depth,
+                            "countermodel": _assignment_json(witness, args)})
+            else:
+                print("invalid")
+                print("countermodel: " + _assignment_str(witness, args))
+            return 1
         if args.format == "json":
             _emit_json({"found": False, "depth": args.depth})
         else:
@@ -431,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     verb(sub, "countermodel", "print the first countermodel, if any", cmd_countermodel,
          [fmt, cap, option_fde], "sequent")
     verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof, [fmt], "file")
-    verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
-         [depth, fmt], "sequent")
+    p = verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
+             [depth, fmt], "sequent")
+    p.set_defaults(fde=False)  # an invalid sequent's countermodel prints matrix values
     verb(sub, "corpus", "list the bundled derivations", cmd_corpus, [fmt])
 
     p = sub.add_parser("fc", help="functional completeness tools")
@@ -482,6 +495,9 @@ def run(argv: list[str] | None = None) -> int:
                            if isinstance(exc, kind))
         print(f"cnl4: {label}: {exc}", file=sys.stderr)
         return code
+    except Exception as exc:  # a bug; never 1, which would claim a countermodel
+        print(f"cnl4: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,6 +15,11 @@ Formulas nested deeper than :data:`MAX_DEPTH`, or with more parentheses
 open at once, are refused.  The parser keeps an explicit frame stack and
 does not recurse; printing and comparing formulas still recurse.
 
+Equal subformulas of one parse are one object, and so are those of calls
+given the same ``nodes`` dict (``nd.from_json_dict`` passes one per proof
+tree), so comparing them takes tuple comparison's identity short-cut.
+There is no module-level table: equality and hashing stay structural.
+
 The printer emits minimal parentheses and round-trips exactly:
 ``parse(format_formula(f)) == f`` for every formula ``f``.
 """
@@ -194,9 +199,10 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _formula(text: str, tokens: list[str], i: int) -> tuple[Formula, int]:
+def _formula(text: str, tokens: list[str], i: int, nodes: dict) -> tuple[Formula, int]:
     """Parse one formula from ``tokens[i]`` on; return it with the index of
-    the token after it.
+    the token after it.  ``nodes`` holds every node built so far, an atom
+    under its name and any other node under its class and children's ids.
 
     Every subformula carries its depth, so the depth bound covers chains of
     binary connectives as well as nesting.  ``left_and``/``left_or`` hold
@@ -224,7 +230,8 @@ def _formula(text: str, tokens: list[str], i: int) -> tuple[Formula, int]:
             continue
         if token in _SYMBOLS:
             raise _error(text, i - 1, "expected a formula")
-        f, depth = Atom(token), 0
+        f = nodes.get(token) or nodes.setdefault(token, Atom(token))
+        depth = 0
         # close the operand's ~-run, then every &, | and parenthesis it ends
         while True:
             if negations:
@@ -232,10 +239,13 @@ def _formula(text: str, tokens: list[str], i: int) -> tuple[Formula, int]:
                     # the ~ that takes the depth past the bound
                     raise _too_deep(text, first + negations - 1 - (MAX_DEPTH - depth))
                 for _ in range(negations):
-                    f = Neg(f)
+                    key = (Neg, id(f))
+                    f = nodes.get(key) or nodes.setdefault(key, Neg(f))
                 depth += negations
             if left_and is not None:
-                f, depth = And(left_and, f), (and_depth if and_depth > depth else depth) + 1
+                key = (And, id(left_and), id(f))
+                f = nodes.get(key) or nodes.setdefault(key, And(left_and, f))
+                depth = (and_depth if and_depth > depth else depth) + 1
                 if depth > MAX_DEPTH:
                     raise _too_deep(text, and_at)
             token = tokens[i]
@@ -245,7 +255,9 @@ def _formula(text: str, tokens: list[str], i: int) -> tuple[Formula, int]:
                 break
             left_and = None
             if left_or is not None:
-                f, depth = Or(left_or, f), (or_depth if or_depth > depth else depth) + 1
+                key = (Or, id(left_or), id(f))
+                f = nodes.get(key) or nodes.setdefault(key, Or(left_or, f))
+                depth = (or_depth if or_depth > depth else depth) + 1
                 if depth > MAX_DEPTH:
                     raise _too_deep(text, or_at)
             if token == "|":
@@ -262,29 +274,32 @@ def _formula(text: str, tokens: list[str], i: int) -> tuple[Formula, int]:
              left_and, and_depth, and_at) = frames.pop()
 
 
-def parse(text: str) -> Formula:
-    """Parse a single formula; raise :class:`ParseError` on bad input."""
+def parse(text: str, nodes: dict | None = None) -> Formula:
+    """Parse a single formula; raise :class:`ParseError` on bad input.
+    Calls given the same ``nodes`` dict share equal subformulas."""
     tokens = _tokenize(text)
-    f, i = _formula(text, tokens, 0)
+    f, i = _formula(text, tokens, 0, {} if nodes is None else nodes)
     if tokens[i]:
         raise _error(text, i, "unexpected trailing input")
     return f
 
 
 def parse_sequent(text: str) -> Sequent:
-    """Parse ``P1, P2 |- C``.  The premise list may be empty."""
+    """Parse ``P1, P2 |- C``.  The premise list may be empty.  Equal
+    subformulas of the premises and conclusion are one object."""
     tokens = _tokenize(text)
+    nodes: dict = {}
     premises: list[Formula] = []
     i = 0
     if tokens[0] != "|-":
-        f, i = _formula(text, tokens, 0)
+        f, i = _formula(text, tokens, 0, nodes)
         premises.append(f)
         while tokens[i] == ",":
-            f, i = _formula(text, tokens, i + 1)
+            f, i = _formula(text, tokens, i + 1, nodes)
             premises.append(f)
     if tokens[i] != "|-":
         raise _error(text, i, "expected '|-'")
-    conclusion, i = _formula(text, tokens, i + 1)
+    conclusion, i = _formula(text, tokens, i + 1, nodes)
     if tokens[i]:
         raise _error(text, i, "unexpected trailing input")
     return Sequent(tuple(premises), conclusion)

@@ -56,8 +56,10 @@ class Rule(Enum):
     NOR_E = "NOrE"
 
 
+# ``rule in _DISCHARGING`` compares by identity and never hashes a Rule
+_DISCHARGING = (Rule.OR_E, Rule.NOR_E)
 #: Rules whose nodes discharge hypotheses (second and third premises).
-DISCHARGING_RULES = frozenset({Rule.OR_E, Rule.NOR_E})
+DISCHARGING_RULES = frozenset(_DISCHARGING)
 
 _RULE_OF_NAME = {rule.value: rule for rule in Rule}
 
@@ -189,7 +191,8 @@ def nor_e(major: Derivation, left: Derivation, right: Derivation,
 # --------------------------------------------------------------------------
 # Checking
 
-# open hypotheses: label -> set of formulas it labels (normally a singleton)
+# open hypotheses: label -> set of formulas it labels (normally a singleton).
+# _check returns a fresh map and set, so its caller may merge them in place.
 _Open = dict[str, set[Formula]]
 
 
@@ -215,9 +218,13 @@ def _expect_arity(d: Derivation, path: tuple[int, ...], n: int) -> None:
 
 def _merge(path: tuple[int, ...], rule: Rule,
            results: list[tuple[_Open, set[str]]]) -> tuple[_Open, set[str]]:
+    if len(results) == 1:
+        return results[0]
     # A label discharged inside one subtree may not be open or discharged
     # in a sibling subtree.
     for i, (_, discharged_i) in enumerate(results):
+        if not discharged_i:
+            continue
         for k, (open_k, discharged_k) in enumerate(results):
             if i == k:
                 continue
@@ -227,31 +234,40 @@ def _merge(path: tuple[int, ...], rule: Rule,
                 _fail(path, rule,
                       f"label {label!r} is discharged in one branch but "
                       f"used in a sibling branch")
-    merged: _Open = {}
-    discharged: set[str] = set()
+    merged, discharged = results[0]
     for open_i, discharged_i in results:
-        for label, formulas in open_i.items():
-            merged.setdefault(label, set()).update(formulas)
-        discharged |= discharged_i
+        if len(open_i) > len(merged):
+            merged, discharged = open_i, discharged_i
+    for open_i, discharged_i in results:
+        if open_i is not merged:
+            for label, formulas in open_i.items():
+                own = merged.get(label)
+                if own is None:
+                    merged[label] = formulas
+                else:
+                    own |= formulas
+            discharged |= discharged_i
     return merged, discharged
 
 
 def _discharge(path: tuple[int, ...], rule: Rule, open_map: _Open,
                label: str, case: Formula) -> None:
     # report the mismatch that renders first, as _merge reports labels
-    wrong = sorted(format_formula(f) for f in open_map.pop(label, ()) if f != case)
+    wrong = sorted(format_formula(f) for f in open_map.pop(label, ()) if (f,) != (case,))
     if wrong:
         _fail(path, rule, f"hypothesis {label!r} is {wrong[0]}, "
                           f"but the case formula is {format_formula(case)}")
 
 
+# Formulas are compared inside tuples, field by field: tuple comparison
+# skips identical items without a call, and a loaded tree shares its nodes.
 def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
     rule = d.rule
     if not isinstance(rule, Rule):
         _fail(path, None, f"unknown rule {rule!r}")
     if (d.label is not None) != (rule is Rule.HYP):
         _fail(path, rule, "only Hyp nodes carry a hypothesis label")
-    if (d.discharge is not None) != (rule in DISCHARGING_RULES):
+    if (d.discharge is not None) != (rule in _DISCHARGING):
         _fail(path, rule, "only OrE/NOrE nodes carry discharge labels")
 
     if rule is Rule.HYP:
@@ -260,37 +276,42 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
             _fail(path, rule, "hypothesis label must be a non-empty string")
         return {d.label: {d.conclusion}}, set()
 
+    c = d.conclusion
     if rule is Rule.NN2:
         _expect_arity(d, path, 0)
-        c = d.conclusion
-        if not (isinstance(c, Or) and c.right == Neg(Neg(c.left))):
+        if not (isinstance(c, Or) and isinstance(c.right, Neg)
+                and isinstance(c.right.body, Neg) and (c.right.body.body,) == (c.left,)):
             _fail(path, rule, "conclusion must have the form A | ~~A")
         return {}, set()
 
-    results = [_check(p, path + (i,)) for i, p in enumerate(d.premises)]
-    concs = [p.conclusion for p in d.premises]
+    results = []
+    concs = []
+    for i, p in enumerate(d.premises):
+        results.append(_check(p, path + (i,)))
+        concs.append(p.conclusion)
 
     if rule is Rule.AND_I:
         _expect_arity(d, path, 2)
-        if d.conclusion != And(concs[0], concs[1]):
+        if not (isinstance(c, And) and (c.left, c.right) == (concs[0], concs[1])):
             _fail(path, rule, "conclusion must conjoin the two premises in order")
     elif rule in (Rule.AND_E_L, Rule.AND_E_R):
         _expect_arity(d, path, 1)
         if not isinstance(concs[0], And):
             _fail(path, rule, "premise must be a conjunction")
         wanted = concs[0].left if rule is Rule.AND_E_L else concs[0].right
-        if d.conclusion != wanted:
+        if (c,) != (wanted,):
             _fail(path, rule, f"conclusion must be {format_formula(wanted)}")
     elif rule in (Rule.OR_I_L, Rule.OR_I_R):
         _expect_arity(d, path, 1)
-        if not isinstance(d.conclusion, Or):
+        if not isinstance(c, Or):
             _fail(path, rule, "conclusion must be a disjunction")
-        own = d.conclusion.left if rule is Rule.OR_I_L else d.conclusion.right
-        if own != concs[0]:
+        own = c.left if rule is Rule.OR_I_L else c.right
+        if (own,) != (concs[0],):
             _fail(path, rule, "premise must be the matching disjunct")
     elif rule is Rule.NN1:
         _expect_arity(d, path, 2)
-        if concs[1] != Neg(Neg(concs[0])):
+        if not (isinstance(concs[1], Neg) and isinstance(concs[1].body, Neg)
+                and (concs[1].body.body,) == (concs[0],)):
             _fail(path, rule, "second premise must be the double negation "
                               "of the first")
         # conclusion arbitrary
@@ -298,7 +319,8 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
         _expect_arity(d, path, 2)
         if not (isinstance(concs[0], Neg) and isinstance(concs[1], Neg)):
             _fail(path, rule, "premises must be negations")
-        if d.conclusion != Neg(And(concs[0].body, concs[1].body)):
+        if not (isinstance(c, Neg) and isinstance(c.body, And)
+                and (c.body.left, c.body.right) == (concs[0].body, concs[1].body)):
             _fail(path, rule, "conclusion must negate the conjunction of "
                               "the premises' bodies")
     elif rule in (Rule.NAND_E_L, Rule.NAND_E_R):
@@ -307,19 +329,18 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
             _fail(path, rule, "premise must be a negated conjunction")
         conjunct = (concs[0].body.left if rule is Rule.NAND_E_L
                     else concs[0].body.right)
-        if d.conclusion != Neg(conjunct):
+        if not (isinstance(c, Neg) and (c.body,) == (conjunct,)):
             _fail(path, rule, f"conclusion must be {format_formula(Neg(conjunct))}")
     elif rule in (Rule.NOR_I_L, Rule.NOR_I_R):
         _expect_arity(d, path, 1)
         if not isinstance(concs[0], Neg):
             _fail(path, rule, "premise must be a negation")
-        c = d.conclusion
         if not (isinstance(c, Neg) and isinstance(c.body, Or)):
             _fail(path, rule, "conclusion must be a negated disjunction")
         own = c.body.left if rule is Rule.NOR_I_L else c.body.right
-        if own != concs[0].body:
+        if (own,) != (concs[0].body,):
             _fail(path, rule, "premise must negate the matching disjunct")
-    elif rule in DISCHARGING_RULES:
+    elif rule in _DISCHARGING:
         _expect_arity(d, path, 3)
         if rule is Rule.OR_E:
             if not isinstance(concs[0], Or):
@@ -331,7 +352,7 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
                 _fail(path, rule, "major premise must be a negated disjunction")
             case_l = Neg(concs[0].body.left)
             case_r = Neg(concs[0].body.right)
-        if concs[1] != d.conclusion or concs[2] != d.conclusion:
+        if (concs[1], concs[2]) != (c, c):
             _fail(path, rule, "both case branches must conclude the node's "
                               "conclusion")
         assert d.discharge is not None
@@ -342,7 +363,7 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
         open_l, dis_l = results[1]
         open_r, dis_r = results[2]
         for label in (label_l, label_r):
-            if label in dis_major | dis_l | dis_r:
+            if label in dis_major or label in dis_l or label in dis_r:
                 _fail(path, rule, f"label {label!r} is already discharged "
                                   f"deeper in the tree")
         _discharge(path, rule, open_l, label_l, case_l)
@@ -353,8 +374,7 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
         if label_r in open_major or label_r in open_l:
             _fail(path, rule, f"discharged label {label_r!r} is still open "
                               f"outside its case branch")
-        open_map, discharged = _merge(
-            path, rule, [(open_major, dis_major), (open_l, dis_l), (open_r, dis_r)])
+        open_map, discharged = _merge(path, rule, results)
         return open_map, discharged | {label_l, label_r}
 
     return _merge(path, rule, results)
@@ -563,12 +583,13 @@ def from_json_dict(obj: object) -> Derivation:
     Raises :class:`ProofFormatError` for structural problems, including a
     tree deeper than :data:`MAX_PROOF_DEPTH`; formula text is parsed with
     the usual grammar.  Equal conclusion texts within one tree are parsed
-    once and share one formula object.
+    once, and every formula node of the tree is shared: equal subformulas
+    are one object, within a conclusion and across conclusions.
     """
-    return _from_json(obj, 1, {})
+    return _from_json(obj, 1, {}, {})
 
 
-def _from_json(obj: object, depth: int, parsed: dict[str, Formula]) -> Derivation:
+def _from_json(obj: object, depth: int, parsed: dict[str, Formula], nodes: dict) -> Derivation:
     if depth > MAX_PROOF_DEPTH:
         raise ProofFormatError(f"proof nested deeper than {MAX_PROOF_DEPTH} levels")
     if not isinstance(obj, dict):
@@ -587,12 +608,12 @@ def _from_json(obj: object, depth: int, parsed: dict[str, Formula]) -> Derivatio
         raise ProofFormatError("'conclusion' must be a string")
     conclusion = parsed.get(text)
     if conclusion is None:
-        conclusion = parsed[text] = parse(text)
+        conclusion = parsed[text] = parse(text, nodes)
     premises = obj.get("premises", [])
     if not isinstance(premises, list):
         raise ProofFormatError("'premises' must be an array")
     discharge = None
-    if rule in DISCHARGING_RULES:
+    if rule in _DISCHARGING:
         raw = obj.get("discharge")
         if (not isinstance(raw, list) or len(raw) != 2
                 or not all(isinstance(x, str) for x in raw)):
@@ -610,8 +631,8 @@ def _from_json(obj: object, depth: int, parsed: dict[str, Formula]) -> Derivatio
     elif "label" in obj:
         raise ProofFormatError(f"{rule.value} must not carry 'label'")
     return Derivation(rule, conclusion,
-                      tuple(_from_json(p, depth + 1, parsed) for p in premises),
-                      discharge=discharge, label=label)
+                      tuple([_from_json(p, depth + 1, parsed, nodes) for p in premises]),
+                      discharge, label)
 
 
 def render_derivation(d: Derivation, indent: int = 0) -> str:

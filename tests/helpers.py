@@ -9,7 +9,9 @@ truth-set clauses, independently of the block engine behind the library's
 evaluators; the reference scans enumerate interpretations one at a time
 with them, and the engine must agree with them exactly.  The reference
 parser is the recursive-descent parser the library's one-pass parser
-must agree with, results and errors alike.
+must agree with, results and errors alike.  The reference checker is the
+proof checker that copied every open-assumption map and compared rebuilt
+formulas; ``nd.check`` must agree with it, results and errors alike.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from cnl4.formula import (
     Or,
     ParseError,
     Sequent,
+    format_formula,
     sequent_variables,
     subformulas,
     variables,
@@ -46,7 +49,10 @@ from cnl4.matrix import (
     interpretations,
 )
 from cnl4.nd import (
+    DISCHARGING_RULES,
+    CheckedSequent,
     Derivation,
+    DerivationError,
     Rule,
     and_e_l,
     and_e_r,
@@ -267,6 +273,179 @@ def rules_used(d: Derivation) -> set[Rule]:
     for premise in d.premises:
         used |= rules_used(premise)
     return used
+
+
+# The reference checker: the proof checker as it was before it merged open
+# assumptions in place and compared formulas field by field.  It copies
+# every open map into a fresh one at each node, scans every pair of
+# siblings for clashes, and compares whole rebuilt formulas.  ``check``
+# must give the same result, or the same error, on every derivation.
+
+# open hypotheses: label -> set of formulas it labels (normally a singleton)
+_Open = dict[str, set[Formula]]
+
+
+def reference_check(d: Derivation) -> CheckedSequent:
+    """Open assumptions and conclusion of ``d``, by the reference checker."""
+    open_map, _ = _check(d, ())
+    formulas = frozenset(f for fs in open_map.values() for f in fs)
+    return CheckedSequent(formulas, d.conclusion)
+
+
+def _fail(path: tuple[int, ...], rule: Rule | None, message: str) -> None:
+    raise DerivationError(path, rule, message)
+
+
+def _expect_arity(d: Derivation, path: tuple[int, ...], n: int) -> None:
+    if len(d.premises) != n:
+        _fail(path, d.rule, f"expected {n} premises, found {len(d.premises)}")
+
+
+def _merge(path: tuple[int, ...], rule: Rule,
+           results: list[tuple[_Open, set[str]]]) -> tuple[_Open, set[str]]:
+    # A label discharged inside one subtree may not be open or discharged
+    # in a sibling subtree.
+    for i, (_, discharged_i) in enumerate(results):
+        for k, (open_k, discharged_k) in enumerate(results):
+            if i == k:
+                continue
+            clash = discharged_i & (set(open_k) | discharged_k)
+            if clash:
+                label = sorted(clash)[0]
+                _fail(path, rule,
+                      f"label {label!r} is discharged in one branch but "
+                      f"used in a sibling branch")
+    merged: _Open = {}
+    discharged: set[str] = set()
+    for open_i, discharged_i in results:
+        for label, formulas in open_i.items():
+            merged.setdefault(label, set()).update(formulas)
+        discharged |= discharged_i
+    return merged, discharged
+
+
+def _discharge(path: tuple[int, ...], rule: Rule, open_map: _Open,
+               label: str, case: Formula) -> None:
+    # report the mismatch that renders first, as _merge reports labels
+    wrong = sorted(format_formula(f) for f in open_map.pop(label, ()) if f != case)
+    if wrong:
+        _fail(path, rule, f"hypothesis {label!r} is {wrong[0]}, "
+                          f"but the case formula is {format_formula(case)}")
+
+
+def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
+    rule = d.rule
+    if not isinstance(rule, Rule):
+        _fail(path, None, f"unknown rule {rule!r}")
+    if (d.label is not None) != (rule is Rule.HYP):
+        _fail(path, rule, "only Hyp nodes carry a hypothesis label")
+    if (d.discharge is not None) != (rule in DISCHARGING_RULES):
+        _fail(path, rule, "only OrE/NOrE nodes carry discharge labels")
+
+    if rule is Rule.HYP:
+        _expect_arity(d, path, 0)
+        if not d.label:
+            _fail(path, rule, "hypothesis label must be a non-empty string")
+        return {d.label: {d.conclusion}}, set()
+
+    if rule is Rule.NN2:
+        _expect_arity(d, path, 0)
+        c = d.conclusion
+        if not (isinstance(c, Or) and c.right == Neg(Neg(c.left))):
+            _fail(path, rule, "conclusion must have the form A | ~~A")
+        return {}, set()
+
+    results = [_check(p, path + (i,)) for i, p in enumerate(d.premises)]
+    concs = [p.conclusion for p in d.premises]
+
+    if rule is Rule.AND_I:
+        _expect_arity(d, path, 2)
+        if d.conclusion != And(concs[0], concs[1]):
+            _fail(path, rule, "conclusion must conjoin the two premises in order")
+    elif rule in (Rule.AND_E_L, Rule.AND_E_R):
+        _expect_arity(d, path, 1)
+        if not isinstance(concs[0], And):
+            _fail(path, rule, "premise must be a conjunction")
+        wanted = concs[0].left if rule is Rule.AND_E_L else concs[0].right
+        if d.conclusion != wanted:
+            _fail(path, rule, f"conclusion must be {format_formula(wanted)}")
+    elif rule in (Rule.OR_I_L, Rule.OR_I_R):
+        _expect_arity(d, path, 1)
+        if not isinstance(d.conclusion, Or):
+            _fail(path, rule, "conclusion must be a disjunction")
+        own = d.conclusion.left if rule is Rule.OR_I_L else d.conclusion.right
+        if own != concs[0]:
+            _fail(path, rule, "premise must be the matching disjunct")
+    elif rule is Rule.NN1:
+        _expect_arity(d, path, 2)
+        if concs[1] != Neg(Neg(concs[0])):
+            _fail(path, rule, "second premise must be the double negation "
+                              "of the first")
+        # conclusion arbitrary
+    elif rule is Rule.NAND_I:
+        _expect_arity(d, path, 2)
+        if not (isinstance(concs[0], Neg) and isinstance(concs[1], Neg)):
+            _fail(path, rule, "premises must be negations")
+        if d.conclusion != Neg(And(concs[0].body, concs[1].body)):
+            _fail(path, rule, "conclusion must negate the conjunction of "
+                              "the premises' bodies")
+    elif rule in (Rule.NAND_E_L, Rule.NAND_E_R):
+        _expect_arity(d, path, 1)
+        if not (isinstance(concs[0], Neg) and isinstance(concs[0].body, And)):
+            _fail(path, rule, "premise must be a negated conjunction")
+        conjunct = (concs[0].body.left if rule is Rule.NAND_E_L
+                    else concs[0].body.right)
+        if d.conclusion != Neg(conjunct):
+            _fail(path, rule, f"conclusion must be {format_formula(Neg(conjunct))}")
+    elif rule in (Rule.NOR_I_L, Rule.NOR_I_R):
+        _expect_arity(d, path, 1)
+        if not isinstance(concs[0], Neg):
+            _fail(path, rule, "premise must be a negation")
+        c = d.conclusion
+        if not (isinstance(c, Neg) and isinstance(c.body, Or)):
+            _fail(path, rule, "conclusion must be a negated disjunction")
+        own = c.body.left if rule is Rule.NOR_I_L else c.body.right
+        if own != concs[0].body:
+            _fail(path, rule, "premise must negate the matching disjunct")
+    elif rule in DISCHARGING_RULES:
+        _expect_arity(d, path, 3)
+        if rule is Rule.OR_E:
+            if not isinstance(concs[0], Or):
+                _fail(path, rule, "major premise must be a disjunction")
+            case_l: Formula = concs[0].left
+            case_r: Formula = concs[0].right
+        else:
+            if not (isinstance(concs[0], Neg) and isinstance(concs[0].body, Or)):
+                _fail(path, rule, "major premise must be a negated disjunction")
+            case_l = Neg(concs[0].body.left)
+            case_r = Neg(concs[0].body.right)
+        if concs[1] != d.conclusion or concs[2] != d.conclusion:
+            _fail(path, rule, "both case branches must conclude the node's "
+                              "conclusion")
+        assert d.discharge is not None
+        if len(d.discharge) != 2:
+            _fail(path, rule, "discharge must name exactly two labels")
+        label_l, label_r = d.discharge
+        open_major, dis_major = results[0]
+        open_l, dis_l = results[1]
+        open_r, dis_r = results[2]
+        for label in (label_l, label_r):
+            if label in dis_major | dis_l | dis_r:
+                _fail(path, rule, f"label {label!r} is already discharged "
+                                  f"deeper in the tree")
+        _discharge(path, rule, open_l, label_l, case_l)
+        _discharge(path, rule, open_r, label_r, case_r)
+        if label_l in open_major or label_l in open_r:
+            _fail(path, rule, f"discharged label {label_l!r} is still open "
+                              f"outside its case branch")
+        if label_r in open_major or label_r in open_l:
+            _fail(path, rule, f"discharged label {label_r!r} is still open "
+                              f"outside its case branch")
+        open_map, discharged = _merge(
+            path, rule, [(open_major, dis_major), (open_l, dis_l), (open_r, dis_r)])
+        return open_map, discharged | {label_l, label_r}
+
+    return _merge(path, rule, results)
 
 
 # The reference parser: a tokenizer of frozen-dataclass tokens and a

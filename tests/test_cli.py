@@ -3,7 +3,7 @@
 Everything goes through run(argv) in-process, where capsys collects the
 output, except the hash-seed test, which needs one interpreter per seed.
 Exit code contract: 0 success/valid, 1 invalid (countermodel printed),
-2 failed check/verification, 3 usage or parse error.
+2 failed check/verification, 3 usage or parse error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cnl4
+from cnl4 import cli
 from cnl4.cli import run
 from cnl4.formula import MAX_DEPTH
 from cnl4.nd import (
@@ -364,9 +365,27 @@ def test_search_proof_json_feeds_check_proof(capsys, tmp_path) -> None:
 
 
 def test_search_proof_not_found(capsys) -> None:
-    code, out, _ = invoke(capsys, "search-proof", "~~p |- p", "--depth", "3")
+    # valid, but AndI needs depth 2
+    code, out, _ = invoke(capsys, "search-proof", "p & q |- q & p", "--depth", "1")
     assert code == 2
-    assert out == "no derivation found within depth 3\n"
+    assert out == "no derivation found within depth 1\n"
+
+
+@pytest.mark.parametrize("sequent", ["~~p |- p", "p |- q", "p, ~q |- q & r | ~p"])
+def test_search_proof_reports_an_invalid_sequent_as_conseq_does(capsys, sequent) -> None:
+    assert invoke(capsys, "search-proof", sequent) == invoke(capsys, "conseq", sequent)
+    code, out, _ = invoke(capsys, "search-proof", sequent, "--format", "json")
+    _, conseq_out, _ = invoke(capsys, "conseq", sequent, "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"found": False, "depth": 6,
+                               "countermodel": json.loads(conseq_out)["countermodel"]}
+
+
+def test_search_proof_above_the_cap_reports_only_a_miss(capsys) -> None:
+    # 11 variables: the matrix check is skipped, so invalidity is not shown
+    sequent = "a | b, c | d, e | f, g | h, i | j |- k"
+    code, out, err = invoke(capsys, "search-proof", sequent, "--depth", "3")
+    assert (code, out, err) == (2, "no derivation found within depth 3\n", "")
 
 
 def test_search_proof_bad_depth(capsys) -> None:
@@ -517,6 +536,17 @@ def test_options_compare_single_option(capsys) -> None:
 
 # ---------------------------------------------------------------------------
 # usage plumbing
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"),
+                                   RecursionError("maximum recursion depth exceeded")])
+def test_unexpected_error_is_an_internal_error(capsys, monkeypatch, error) -> None:
+    def broken(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_parse", broken)
+    code, out, err = invoke(capsys, "parse", "p")
+    assert (code, out) == (4, "")
+    assert err == f"cnl4: internal error: {type(error).__name__}: {error}\n"
 
 
 def test_unknown_command(capsys) -> None:

@@ -192,6 +192,7 @@ def _cases() -> list[dict]:
         add("search-proof", "p | q |- q | p", "--depth", "4", *fmt)
         add("search-proof", "~~p |- p", "--depth", "3", *fmt)
         add("search-proof", "p |- q", "--depth", "8", *fmt)
+        add("search-proof", "p & q |- q & p", "--depth", "1", *fmt)
         add("search-proof", "p |- p", "--depth", "0", *fmt)
         add("search-proof", "p |- p", "--depth", "x", *fmt)
         add("search-proof", "p |- ", *fmt)

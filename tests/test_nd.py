@@ -34,6 +34,7 @@ from cnl4.nd import (
     DISCHARGING_RULES,
     MAX_PROOF_DEPTH,
     MAX_SEARCH_DEPTH,
+    CheckedSequent,
     CorpusEntry,
     Derivation,
     DerivationError,
@@ -60,6 +61,7 @@ from helpers import (
     and_elim_chain,
     derivation_strategy,
     random_sequent,
+    reference_check,
     rules_used,
     splittable_sequent_strategy,
 )
@@ -385,6 +387,123 @@ def test_random_derivations_check_and_are_sound(rule, data) -> None:
     assert d.rule is rule
     check(d)
     assert soundness_check(d), render_derivation(d)
+
+
+# ---------------------------------------------------------------------------
+# check() against the reference checker, on sound and corrupted trees
+
+
+def _nodes(d: Derivation, path: tuple[int, ...] = ()):
+    """(path, node) for every node of ``d``, preorder."""
+    yield path, d
+    for i, premise in enumerate(d.premises):
+        yield from _nodes(premise, path + (i,))
+
+
+def _replace_at(d: Derivation, path: tuple[int, ...], node: Derivation) -> Derivation:
+    if not path:
+        return node
+    premises = list(d.premises)
+    premises[path[0]] = _replace_at(premises[path[0]], path[1:], node)
+    return d._replace(premises=tuple(premises))
+
+
+#: Each kind of corruption, with the nodes it can change.
+CORRUPTIONS = {
+    "rule": lambda n: True,
+    "sibling conclusion": lambda n: len(n.premises) >= 2,
+    "label": lambda n: n.label,
+    "swap discharge": lambda n: n.discharge,
+    "drop premise": lambda n: n.premises,
+    "duplicate premise": lambda n: n.premises,
+}
+
+
+def corrupt(rng: random.Random, d: Derivation, kind: str) -> Derivation:
+    """``d`` with one node changed in the way ``kind`` names, or ``d``
+    itself when no node admits that change."""
+    nodes = list(_nodes(d))
+    targets = [(path, n) for path, n in nodes if CORRUPTIONS[kind](n)]
+    if not targets:
+        return d
+    path, node = rng.choice(targets)
+    premises = list(node.premises)
+    if kind == "rule":
+        node = node._replace(rule=rng.choice(list(Rule)))
+    elif kind == "sibling conclusion":
+        i, k = rng.sample(range(len(premises)), 2)
+        premises[i] = premises[i]._replace(conclusion=premises[k].conclusion)
+    elif kind == "label":
+        # mostly a label that a node outside the leaf's branch discharges,
+        # which clashes in some sibling subtree; else any label of the tree,
+        # which may close or reopen a hypothesis
+        elsewhere = sorted({x for q, n in nodes if n.discharge and path[:len(q)] != q
+                            for x in n.discharge})
+        labels = sorted({n.label for _, n in nodes if n.label}
+                        | {x for _, n in nodes if n.discharge for x in n.discharge})
+        node = node._replace(label=rng.choice(
+            elsewhere if elsewhere and rng.random() < 0.75 else labels + ["z"]))
+    elif kind == "swap discharge":
+        node = node._replace(discharge=node.discharge[::-1])
+    elif kind == "drop premise":
+        del premises[rng.randrange(len(premises))]
+    else:
+        i = rng.randrange(len(premises))
+        premises.insert(i, premises[i])
+    return _replace_at(d, path, node._replace(premises=tuple(premises)))
+
+
+def _outcome(checker, d: Derivation):
+    try:
+        return checker(d)
+    except DerivationError as exc:
+        return exc.path, exc.rule, exc.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(derivation_strategy(max_height=5), st.integers(0, 2**32 - 1))
+def test_check_agrees_with_the_reference_checker(d, seed) -> None:
+    rng = random.Random(seed)
+    for tree in [d] + [corrupt(rng, d, kind) for kind in CORRUPTIONS for _ in range(3)]:
+        expected = _outcome(reference_check, tree)
+        assert _outcome(check, tree) == expected
+        # the same tree loaded from JSON, with its formula nodes shared
+        try:
+            loaded = from_json_dict(to_json_dict(tree))
+        except ProofFormatError:
+            continue
+        assert _outcome(check, loaded) == expected
+
+
+def test_check_gives_the_same_result_twice() -> None:
+    trees = [e.derivation for e in corpus()] + [_de_morgan_nor()]
+    trees += [from_json_dict(to_json_dict(d)) for d in trees]
+    bad = or_e(hyp("h1", Or(P, Q)), hyp("h2", P), hyp("h2", P), ("h2", "h3"))
+    for d in trees + [bad]:
+        assert _outcome(check, d) == _outcome(check, d) == _outcome(reference_check, d)
+
+
+def test_a_reused_hyp_object_checks_like_fresh_ones() -> None:
+    # each visit of a shared node must get its own open map, or merging in
+    # place would let one visit's result leak into another's
+    a, h2 = hyp("a", P), hyp("h2", P)
+    cases = [
+        (and_i(and_i(a, a), nn1(a, hyp("b", Neg(Neg(P))), Q)),
+         and_i(and_i(hyp("a", P), hyp("a", P)), nn1(hyp("a", P), hyp("b", Neg(Neg(P))), Q))),
+        (or_e(hyp("h1", Or(P, P)), and_e_l(and_i(h2, h2)), hyp("h3", P), ("h2", "h3")),
+         or_e(hyp("h1", Or(P, P)), and_e_l(and_i(hyp("h2", P), hyp("h2", P))),
+              hyp("h3", P), ("h2", "h3"))),
+        # h2 is discharged in the left case but still open in the right one
+        (or_e(hyp("h1", Or(P, P)), h2, h2, ("h2", "h3")),
+         or_e(hyp("h1", Or(P, P)), hyp("h2", P), hyp("h2", P), ("h2", "h3"))),
+    ]
+    for shared, fresh in cases:
+        assert shared == fresh
+        assert _outcome(check, shared) == _outcome(check, fresh) == _outcome(reference_check, fresh)
+    assert check(cases[0][0]).open_assumptions == {P, Neg(Neg(P))}
+    assert check(cases[1][0]).open_assumptions == {Or(P, P)}
+    with pytest.raises(DerivationError, match="'h2' is still open outside its case branch"):
+        check(cases[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +847,34 @@ def test_from_json_dict_parses_equal_texts_once_per_tree() -> None:
         assert not any(id(g) in seen for _, f in _conclusions(obj, second)
                        for g in subformulas(f))
     assert repeats
+
+
+SHARING_TREE = {"rule": "AndI", "conclusion": "~(p & q) & ((p & q) | r)", "premises": [
+    {"rule": "Hyp", "label": "a", "conclusion": "~(p & q)"},
+    {"rule": "Hyp", "label": "b", "conclusion": "(p & q) | r"}]}
+
+
+def test_from_json_dict_shares_equal_subformulas_within_a_tree_only() -> None:
+    d = from_json_dict(SHARING_TREE)
+    negation, disjunction = (p.conclusion for p in d.premises)
+    assert negation.body is disjunction.left
+    assert d.conclusion.left is negation and d.conclusion.right is disjunction
+    assert check(d) == CheckedSequent(frozenset({parse("~(p & q)"), parse("(p & q) | r")}),
+                                      parse("~(p & q) & ((p & q) | r)"))
+    # there is no module-level table, so a second call shares no node
+    again = from_json_dict(SHARING_TREE)
+    assert again == d
+    assert not ({id(f) for f in subformulas(d.conclusion)}
+                & {id(f) for f in subformulas(again.conclusion)})
+
+
+def test_parse_shares_only_through_a_given_table() -> None:
+    f = parse("(p & q) | ~(p & q)")
+    assert f.left is f.right.body
+    assert parse("p & q").left is not parse("p & q").left
+    nodes: dict = {}
+    g, h = parse("p & q", nodes), parse("r | ~(p & q)", nodes)
+    assert h.right.body is g and parse("p", nodes) is g.left
 
 
 def test_render_derivation_shows_structure() -> None:
