@@ -24,17 +24,18 @@ from .matrix import DEFAULT_CAP, CapExceededError, is_consequence
 
 DEFAULT_DEPTH = 6
 
-#: Most nodes on a path from the root of a proof file.  Checking takes
-#: about two interpreter frames per level and comparing conclusions three
-#: per formula level, so a proof at this bound whose formulas are at
-#: :data:`~cnl4.formula.MAX_DEPTH` still checks within the recursion limit.
+#: Most nodes on a path from the root of a proof file.  Reading, loading
+#: and checking recurse per level, and a ``Hyp`` leaf hashes its formula.
+#: Under pytest with 150 extra frames on the stack, a proof 401 levels
+#: deep with formulas at :data:`~cnl4.formula.MAX_DEPTH` loads and checks,
+#: and one 411 deep does not (Python 3.11).
 MAX_PROOF_DEPTH = 100
 
 #: Largest search depth :func:`search` accepts.  Search recurses once per
-#: level, and comparing formulas that differ only at their deepest atom
-#: takes three frames per formula level, so a search at this bound over
-#: formulas at :data:`~cnl4.formula.MAX_DEPTH` still completes within the
-#: recursion limit, with room for the caller's frames.
+#: level.  Under pytest with 150 extra frames on the stack, a search that
+#: splits a disjunction at every level and compares formulas at
+#: :data:`~cnl4.formula.MAX_DEPTH` completes at depth 600 and overflows at
+#: 620 (Python 3.11).
 MAX_SEARCH_DEPTH = 200
 
 
@@ -253,14 +254,12 @@ def _merge(path: tuple[int, ...], rule: Rule,
 def _discharge(path: tuple[int, ...], rule: Rule, open_map: _Open,
                label: str, case: Formula) -> None:
     # report the mismatch that renders first, as _merge reports labels
-    wrong = sorted(format_formula(f) for f in open_map.pop(label, ()) if (f,) != (case,))
+    wrong = sorted(format_formula(f) for f in open_map.pop(label, ()) if f != case)
     if wrong:
         _fail(path, rule, f"hypothesis {label!r} is {wrong[0]}, "
                           f"but the case formula is {format_formula(case)}")
 
 
-# Formulas are compared inside tuples, field by field: tuple comparison
-# skips identical items without a call, and a loaded tree shares its nodes.
 def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
     rule = d.rule
     if not isinstance(rule, Rule):
@@ -280,7 +279,7 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
     if rule is Rule.NN2:
         _expect_arity(d, path, 0)
         if not (isinstance(c, Or) and isinstance(c.right, Neg)
-                and isinstance(c.right.body, Neg) and (c.right.body.body,) == (c.left,)):
+                and isinstance(c.right.body, Neg) and c.right.body.body == c.left):
             _fail(path, rule, "conclusion must have the form A | ~~A")
         return {}, set()
 
@@ -299,19 +298,19 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
         if not isinstance(concs[0], And):
             _fail(path, rule, "premise must be a conjunction")
         wanted = concs[0].left if rule is Rule.AND_E_L else concs[0].right
-        if (c,) != (wanted,):
+        if c != wanted:
             _fail(path, rule, f"conclusion must be {format_formula(wanted)}")
     elif rule in (Rule.OR_I_L, Rule.OR_I_R):
         _expect_arity(d, path, 1)
         if not isinstance(c, Or):
             _fail(path, rule, "conclusion must be a disjunction")
         own = c.left if rule is Rule.OR_I_L else c.right
-        if (own,) != (concs[0],):
+        if own != concs[0]:
             _fail(path, rule, "premise must be the matching disjunct")
     elif rule is Rule.NN1:
         _expect_arity(d, path, 2)
         if not (isinstance(concs[1], Neg) and isinstance(concs[1].body, Neg)
-                and (concs[1].body.body,) == (concs[0],)):
+                and concs[1].body.body == concs[0]):
             _fail(path, rule, "second premise must be the double negation "
                               "of the first")
         # conclusion arbitrary
@@ -329,7 +328,7 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
             _fail(path, rule, "premise must be a negated conjunction")
         conjunct = (concs[0].body.left if rule is Rule.NAND_E_L
                     else concs[0].body.right)
-        if not (isinstance(c, Neg) and (c.body,) == (conjunct,)):
+        if not (isinstance(c, Neg) and c.body == conjunct):
             _fail(path, rule, f"conclusion must be {format_formula(Neg(conjunct))}")
     elif rule in (Rule.NOR_I_L, Rule.NOR_I_R):
         _expect_arity(d, path, 1)
@@ -338,7 +337,7 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
         if not (isinstance(c, Neg) and isinstance(c.body, Or)):
             _fail(path, rule, "conclusion must be a negated disjunction")
         own = c.body.left if rule is Rule.NOR_I_L else c.body.right
-        if (own,) != (concs[0].body,):
+        if own != concs[0].body:
             _fail(path, rule, "premise must negate the matching disjunct")
     elif rule in _DISCHARGING:
         _expect_arity(d, path, 3)

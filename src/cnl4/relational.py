@@ -24,6 +24,7 @@ the matrix.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .engine import Clauses
@@ -59,18 +60,20 @@ class FdeValue(Enum):
 FDE_ORDER: tuple[FdeValue, ...] = (FdeValue.T, FdeValue.B, FdeValue.N, FdeValue.F)
 
 
-class TruthSet:
+class TruthSet(tuple):
     """A subset of {1, 0}, tracked as two membership flags.
 
-    Immutable, and equal only to another truth set with the same flags,
-    so that :func:`rel_eval` refuses a bare pair such as ``(True, False)``.
+    The tuple ``(TruthSet, has1, has0)``: immutable, and equal only to a
+    truth set with the same flags (or a tuple that holds its class), so
+    that :func:`rel_eval` refuses a bare pair such as ``(True, False)``.
     """
 
-    __slots__ = ("has1", "has0")
+    __slots__ = ()
+    has1 = property(itemgetter(1))
+    has0 = property(itemgetter(2))
 
-    def __init__(self, has1: bool, has0: bool) -> None:
-        object.__setattr__(self, "has1", has1)
-        object.__setattr__(self, "has0", has0)
+    def __new__(cls, has1: bool, has0: bool) -> TruthSet:
+        return tuple.__new__(cls, (cls, has1, has0))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -78,19 +81,11 @@ class TruthSet:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is TruthSet:
-            return self.has1 == other.has1 and self.has0 == other.has0
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.has1, self.has0))
-
     def __repr__(self) -> str:
         return f"TruthSet(has1={self.has1!r}, has0={self.has0!r})"
 
     def __reduce__(self) -> tuple:
-        return TruthSet, (self.has1, self.has0)
+        return TruthSet, self[1:]
 
     def __str__(self) -> str:
         members = [m for m, present in (("1", self.has1), ("0", self.has0)) if present]
@@ -103,8 +98,6 @@ TRUTH_SETS: dict[FdeValue, TruthSet] = {
     FdeValue.N: TruthSet(False, False),
     FdeValue.F: TruthSet(False, True),
 }
-
-FDE_OF_SET: dict[TruthSet, FdeValue] = {s: v for v, s in TRUTH_SETS.items()}
 
 
 class NegTruthClause(Enum):

@@ -35,7 +35,6 @@ from cnl4.matrix import (
     truth_table,
 )
 from cnl4.relational import (
-    FDE_OF_SET,
     FDE_ORDER,
     OPTIONS,
     TRUTH_SETS,
@@ -62,6 +61,7 @@ from helpers import (
 
 SEMANTICS = (None, *OPTIONS)
 X, Y = Atom("x"), Atom("y")
+FDE_OF_SET = {s: v for v, s in TRUTH_SETS.items()}
 
 
 def engine_consequence(s: Sequent, option_id: str | None):

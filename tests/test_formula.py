@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import copy
 import pickle
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cnl4
 from cnl4.formula import (
     MAX_DEPTH,
     And,
@@ -266,6 +269,8 @@ def test_connectives_with_the_same_operands_differ() -> None:
     assert And(P, Q) != Or(P, Q)
     assert not And(P, Q) == Or(P, Q)
     assert Neg(P) != P and P != "p" and P != ("p",)
+    assert And(P, Q) != (P, Q)
+    assert Neg(P) != (P,)
 
 
 def test_repr_names_every_field() -> None:
@@ -290,6 +295,36 @@ def test_fields_cannot_be_assigned_or_deleted(f, field: str) -> None:
 def test_pickle_and_copy_give_back_an_equal_formula(f) -> None:
     for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
         assert twin == f and type(twin) is type(f) and repr(twin) == repr(f)
+
+
+_DEEP_CHAINS = """
+import sys
+from cnl4.formula import Atom, Neg
+from cnl4.nd import check, hyp
+
+def chain():
+    f = Atom("p")
+    for _ in range(1_000_000):
+        f = Neg(f)
+    return f
+
+f, g = chain(), chain()
+for attempt in (lambda: hash(f), lambda: f == g, lambda: check(hyp("h", f))):
+    try:
+        attempt()
+    except RecursionError:
+        continue
+    sys.exit("no RecursionError")
+"""
+
+
+def test_hashing_and_comparing_a_deep_formula_raise_recursion_error() -> None:
+    # far past the recursion limit, each must raise rather than overflow
+    # the C stack and kill the interpreter
+    src = str(Path(cnl4.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _DEEP_CHAINS],
+                          capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------
