@@ -25,10 +25,10 @@ from .matrix import DEFAULT_CAP, CapExceededError, is_consequence
 DEFAULT_DEPTH = 6
 
 #: Most nodes on a path from the root of a proof file.  Reading, loading
-#: and checking recurse per level, and a ``Hyp`` leaf hashes its formula.
-#: Under pytest with 150 extra frames on the stack, a proof 401 levels
-#: deep with formulas at :data:`~cnl4.formula.MAX_DEPTH` loads and checks,
-#: and one 411 deep does not (Python 3.11).
+#: and checking recurse per level.  Under pytest with 150 extra frames on
+#: the stack, a proof file 401 levels deep with formulas at
+#: :data:`~cnl4.formula.MAX_DEPTH` reads, loads and checks; at 411 the JSON
+#: reader runs out, while loading and checking alone fit 801 (Python 3.11).
 MAX_PROOF_DEPTH = 100
 
 #: Largest search depth :func:`search` accepts.  Search recurses once per
@@ -57,8 +57,11 @@ class Rule(Enum):
     NOR_E = "NOrE"
 
 
+# a ``Rule.X`` read runs the enum metaclass's __getattr__: 16 globals' worth
+(HYP, AND_I, AND_E_L, AND_E_R, OR_I_L, OR_I_R, OR_E, NN1, NN2,
+ NAND_I, NAND_E_L, NAND_E_R, NOR_I_L, NOR_I_R, NOR_E) = Rule
 # ``rule in _DISCHARGING`` compares by identity and never hashes a Rule
-_DISCHARGING = (Rule.OR_E, Rule.NOR_E)
+_DISCHARGING = (OR_E, NOR_E)
 #: Rules whose nodes discharge hypotheses (second and third premises).
 DISCHARGING_RULES = frozenset(_DISCHARGING)
 
@@ -93,12 +96,15 @@ class DerivationError(Exception):
     """
 
     def __init__(self, path: tuple[int, ...], rule: Rule | None, message: str) -> None:
-        where = ".".join(str(i) for i in path) if path else "root"
-        name = rule.value if rule is not None else "?"
-        super().__init__(f"{name} at {where}: {message}")
+        super().__init__(path, rule, message)
         self.path = path
         self.rule = rule
         self.message = message
+
+    def __str__(self) -> str:
+        where = ".".join(str(i) for i in self.path) if self.path else "root"
+        name = self.rule.value if self.rule is not None else "?"
+        return f"{name} at {where}: {self.message}"
 
 
 class ProofFormatError(Exception):
@@ -110,50 +116,50 @@ class ProofFormatError(Exception):
 # check() remains the authority on well-formedness.
 
 def hyp(label: str, f: Formula) -> Derivation:
-    return Derivation(Rule.HYP, f, label=label)
+    return Derivation(HYP, f, label=label)
 
 
 def and_i(left: Derivation, right: Derivation) -> Derivation:
-    return Derivation(Rule.AND_I, And(left.conclusion, right.conclusion), (left, right))
+    return Derivation(AND_I, And(left.conclusion, right.conclusion), (left, right))
 
 
 def and_e_l(premise: Derivation) -> Derivation:
     if not isinstance(premise.conclusion, And):
         raise ValueError("AndE_L needs a conjunction premise")
-    return Derivation(Rule.AND_E_L, premise.conclusion.left, (premise,))
+    return Derivation(AND_E_L, premise.conclusion.left, (premise,))
 
 
 def and_e_r(premise: Derivation) -> Derivation:
     if not isinstance(premise.conclusion, And):
         raise ValueError("AndE_R needs a conjunction premise")
-    return Derivation(Rule.AND_E_R, premise.conclusion.right, (premise,))
+    return Derivation(AND_E_R, premise.conclusion.right, (premise,))
 
 
 def or_i_l(premise: Derivation, right: Formula) -> Derivation:
-    return Derivation(Rule.OR_I_L, Or(premise.conclusion, right), (premise,))
+    return Derivation(OR_I_L, Or(premise.conclusion, right), (premise,))
 
 
 def or_i_r(premise: Derivation, left: Formula) -> Derivation:
-    return Derivation(Rule.OR_I_R, Or(left, premise.conclusion), (premise,))
+    return Derivation(OR_I_R, Or(left, premise.conclusion), (premise,))
 
 
 def or_e(major: Derivation, left: Derivation, right: Derivation,
          labels: tuple[str, str]) -> Derivation:
-    return Derivation(Rule.OR_E, left.conclusion, (major, left, right), discharge=labels)
+    return Derivation(OR_E, left.conclusion, (major, left, right), discharge=labels)
 
 
 def nn1(first: Derivation, second: Derivation, conclusion: Formula) -> Derivation:
-    return Derivation(Rule.NN1, conclusion, (first, second))
+    return Derivation(NN1, conclusion, (first, second))
 
 
 def nn2(a: Formula) -> Derivation:
-    return Derivation(Rule.NN2, Or(a, Neg(Neg(a))))
+    return Derivation(NN2, Or(a, Neg(Neg(a))))
 
 
 def nand_i(left: Derivation, right: Derivation) -> Derivation:
     if not (isinstance(left.conclusion, Neg) and isinstance(right.conclusion, Neg)):
         raise ValueError("NAndI needs two negation premises")
-    return Derivation(Rule.NAND_I,
+    return Derivation(NAND_I,
                       Neg(And(left.conclusion.body, right.conclusion.body)),
                       (left, right))
 
@@ -162,39 +168,40 @@ def nand_e_l(premise: Derivation) -> Derivation:
     c = premise.conclusion
     if not (isinstance(c, Neg) and isinstance(c.body, And)):
         raise ValueError("NAndE_L needs a negated conjunction premise")
-    return Derivation(Rule.NAND_E_L, Neg(c.body.left), (premise,))
+    return Derivation(NAND_E_L, Neg(c.body.left), (premise,))
 
 
 def nand_e_r(premise: Derivation) -> Derivation:
     c = premise.conclusion
     if not (isinstance(c, Neg) and isinstance(c.body, And)):
         raise ValueError("NAndE_R needs a negated conjunction premise")
-    return Derivation(Rule.NAND_E_R, Neg(c.body.right), (premise,))
+    return Derivation(NAND_E_R, Neg(c.body.right), (premise,))
 
 
 def nor_i_l(premise: Derivation, right: Formula) -> Derivation:
     if not isinstance(premise.conclusion, Neg):
         raise ValueError("NOrI_L needs a negation premise")
-    return Derivation(Rule.NOR_I_L, Neg(Or(premise.conclusion.body, right)), (premise,))
+    return Derivation(NOR_I_L, Neg(Or(premise.conclusion.body, right)), (premise,))
 
 
 def nor_i_r(premise: Derivation, left: Formula) -> Derivation:
     if not isinstance(premise.conclusion, Neg):
         raise ValueError("NOrI_R needs a negation premise")
-    return Derivation(Rule.NOR_I_R, Neg(Or(left, premise.conclusion.body)), (premise,))
+    return Derivation(NOR_I_R, Neg(Or(left, premise.conclusion.body)), (premise,))
 
 
 def nor_e(major: Derivation, left: Derivation, right: Derivation,
           labels: tuple[str, str]) -> Derivation:
-    return Derivation(Rule.NOR_E, left.conclusion, (major, left, right), discharge=labels)
+    return Derivation(NOR_E, left.conclusion, (major, left, right), discharge=labels)
 
 
 # --------------------------------------------------------------------------
 # Checking
 
-# open hypotheses: label -> set of formulas it labels (normally a singleton).
+# open hypotheses: label -> {id: formula} it labels (normally one), so a Hyp
+# leaf never hashes its formula; check's frozenset merges equal formulas.
 # _check returns a fresh map and set, so its caller may merge them in place.
-_Open = dict[str, set[Formula]]
+_Open = dict[str, dict[int, Formula]]
 
 
 def check(d: Derivation) -> CheckedSequent:
@@ -203,22 +210,26 @@ def check(d: Derivation) -> CheckedSequent:
     Raises :class:`DerivationError` naming the offending node's rule and
     path on the first violation found.
     """
-    open_map, _ = _check(d, ())
-    formulas = frozenset(f for fs in open_map.values() for f in fs)
+    open_map, _ = _check(d)
+    formulas = frozenset(f for fs in open_map.values() for f in fs.values())
     return CheckedSequent(formulas, d.conclusion)
 
 
-def _fail(path: tuple[int, ...], rule: Rule | None, message: str) -> None:
-    raise DerivationError(path, rule, message)
+def _is_double_negation(g: Formula, f: Formula) -> bool:
+    """``g == Neg(Neg(f))``, without building either node."""
+    return isinstance(g, Neg) and isinstance(g.body, Neg) and g.body.body == f
 
 
-def _expect_arity(d: Derivation, path: tuple[int, ...], n: int) -> None:
-    if len(d.premises) != n:
-        _fail(path, d.rule, f"expected {n} premises, found {len(d.premises)}")
+def _fail(rule: Rule | None, message: str) -> None:
+    raise DerivationError((), rule, message)
 
 
-def _merge(path: tuple[int, ...], rule: Rule,
-           results: list[tuple[_Open, set[str]]]) -> tuple[_Open, set[str]]:
+def _expect_arity(rule: Rule, premises: tuple[Derivation, ...], n: int) -> None:
+    if len(premises) != n:
+        _fail(rule, f"expected {n} premises, found {len(premises)}")
+
+
+def _merge(rule: Rule, results: list[tuple[_Open, set[str]]]) -> tuple[_Open, set[str]]:
     if len(results) == 1:
         return results[0]
     # A label discharged inside one subtree may not be open or discharged
@@ -232,9 +243,8 @@ def _merge(path: tuple[int, ...], rule: Rule,
             clash = discharged_i & (set(open_k) | discharged_k)
             if clash:
                 label = sorted(clash)[0]
-                _fail(path, rule,
-                      f"label {label!r} is discharged in one branch but "
-                      f"used in a sibling branch")
+                _fail(rule, f"label {label!r} is discharged in one branch but "
+                            f"used in a sibling branch")
     merged, discharged = results[0]
     for open_i, discharged_i in results:
         if len(open_i) > len(merged):
@@ -251,132 +261,126 @@ def _merge(path: tuple[int, ...], rule: Rule,
     return merged, discharged
 
 
-def _discharge(path: tuple[int, ...], rule: Rule, open_map: _Open,
-               label: str, case: Formula) -> None:
+def _discharge(rule: Rule, open_map: _Open, label: str, case: Formula) -> None:
     # report the mismatch that renders first, as _merge reports labels
-    wrong = sorted(format_formula(f) for f in open_map.pop(label, ()) if f != case)
+    wrong = sorted(format_formula(f) for f in open_map.pop(label, {}).values() if f != case)
     if wrong:
-        _fail(path, rule, f"hypothesis {label!r} is {wrong[0]}, "
-                          f"but the case formula is {format_formula(case)}")
+        _fail(rule, f"hypothesis {label!r} is {wrong[0]}, "
+                    f"but the case formula is {format_formula(case)}")
 
 
-def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
-    rule = d.rule
+def _check(d: Derivation) -> tuple[_Open, set[str]]:
+    rule, c, premises, discharge, label = d
     if not isinstance(rule, Rule):
-        _fail(path, None, f"unknown rule {rule!r}")
-    if (d.label is not None) != (rule is Rule.HYP):
-        _fail(path, rule, "only Hyp nodes carry a hypothesis label")
-    if (d.discharge is not None) != (rule in _DISCHARGING):
-        _fail(path, rule, "only OrE/NOrE nodes carry discharge labels")
+        _fail(None, f"unknown rule {rule!r}")
+    if (label is not None) != (rule is HYP):
+        _fail(rule, "only Hyp nodes carry a hypothesis label")
+    if (discharge is not None) != (rule in _DISCHARGING):
+        _fail(rule, "only OrE/NOrE nodes carry discharge labels")
 
-    if rule is Rule.HYP:
-        _expect_arity(d, path, 0)
-        if not d.label:
-            _fail(path, rule, "hypothesis label must be a non-empty string")
-        return {d.label: {d.conclusion}}, set()
+    if rule is HYP:
+        _expect_arity(rule, premises, 0)
+        if not label:
+            _fail(rule, "hypothesis label must be a non-empty string")
+        return {label: {id(c): c}}, set()
 
-    c = d.conclusion
-    if rule is Rule.NN2:
-        _expect_arity(d, path, 0)
-        if not (isinstance(c, Or) and isinstance(c.right, Neg)
-                and isinstance(c.right.body, Neg) and c.right.body.body == c.left):
-            _fail(path, rule, "conclusion must have the form A | ~~A")
+    if rule is NN2:
+        _expect_arity(rule, premises, 0)
+        if not (isinstance(c, Or) and _is_double_negation(c.right, c.left)):
+            _fail(rule, "conclusion must have the form A | ~~A")
         return {}, set()
 
     results = []
     concs = []
-    for i, p in enumerate(d.premises):
-        results.append(_check(p, path + (i,)))
-        concs.append(p.conclusion)
+    try:
+        for p in premises:
+            results.append(_check(p))
+            concs.append(p.conclusion)
+    except DerivationError as exc:  # a failure gets its path as it unwinds
+        exc.path = (len(results),) + exc.path
+        raise
 
-    if rule is Rule.AND_I:
-        _expect_arity(d, path, 2)
+    if rule is AND_I:
+        _expect_arity(rule, premises, 2)
         if not (isinstance(c, And) and (c.left, c.right) == (concs[0], concs[1])):
-            _fail(path, rule, "conclusion must conjoin the two premises in order")
-    elif rule in (Rule.AND_E_L, Rule.AND_E_R):
-        _expect_arity(d, path, 1)
+            _fail(rule, "conclusion must conjoin the two premises in order")
+    elif rule is AND_E_L or rule is AND_E_R:
+        _expect_arity(rule, premises, 1)
         if not isinstance(concs[0], And):
-            _fail(path, rule, "premise must be a conjunction")
-        wanted = concs[0].left if rule is Rule.AND_E_L else concs[0].right
+            _fail(rule, "premise must be a conjunction")
+        wanted = concs[0].left if rule is AND_E_L else concs[0].right
         if c != wanted:
-            _fail(path, rule, f"conclusion must be {format_formula(wanted)}")
-    elif rule in (Rule.OR_I_L, Rule.OR_I_R):
-        _expect_arity(d, path, 1)
+            _fail(rule, f"conclusion must be {format_formula(wanted)}")
+    elif rule is OR_I_L or rule is OR_I_R:
+        _expect_arity(rule, premises, 1)
         if not isinstance(c, Or):
-            _fail(path, rule, "conclusion must be a disjunction")
-        own = c.left if rule is Rule.OR_I_L else c.right
+            _fail(rule, "conclusion must be a disjunction")
+        own = c.left if rule is OR_I_L else c.right
         if own != concs[0]:
-            _fail(path, rule, "premise must be the matching disjunct")
-    elif rule is Rule.NN1:
-        _expect_arity(d, path, 2)
-        if not (isinstance(concs[1], Neg) and isinstance(concs[1].body, Neg)
-                and concs[1].body.body == concs[0]):
-            _fail(path, rule, "second premise must be the double negation "
-                              "of the first")
+            _fail(rule, "premise must be the matching disjunct")
+    elif rule is NN1:
+        _expect_arity(rule, premises, 2)
+        if not _is_double_negation(concs[1], concs[0]):
+            _fail(rule, "second premise must be the double negation of the first")
         # conclusion arbitrary
-    elif rule is Rule.NAND_I:
-        _expect_arity(d, path, 2)
+    elif rule is NAND_I:
+        _expect_arity(rule, premises, 2)
         if not (isinstance(concs[0], Neg) and isinstance(concs[1], Neg)):
-            _fail(path, rule, "premises must be negations")
+            _fail(rule, "premises must be negations")
         if not (isinstance(c, Neg) and isinstance(c.body, And)
                 and (c.body.left, c.body.right) == (concs[0].body, concs[1].body)):
-            _fail(path, rule, "conclusion must negate the conjunction of "
-                              "the premises' bodies")
-    elif rule in (Rule.NAND_E_L, Rule.NAND_E_R):
-        _expect_arity(d, path, 1)
+            _fail(rule, "conclusion must negate the conjunction of "
+                        "the premises' bodies")
+    elif rule is NAND_E_L or rule is NAND_E_R:
+        _expect_arity(rule, premises, 1)
         if not (isinstance(concs[0], Neg) and isinstance(concs[0].body, And)):
-            _fail(path, rule, "premise must be a negated conjunction")
-        conjunct = (concs[0].body.left if rule is Rule.NAND_E_L
-                    else concs[0].body.right)
+            _fail(rule, "premise must be a negated conjunction")
+        conjunct = concs[0].body.left if rule is NAND_E_L else concs[0].body.right
         if not (isinstance(c, Neg) and c.body == conjunct):
-            _fail(path, rule, f"conclusion must be {format_formula(Neg(conjunct))}")
-    elif rule in (Rule.NOR_I_L, Rule.NOR_I_R):
-        _expect_arity(d, path, 1)
+            _fail(rule, f"conclusion must be {format_formula(Neg(conjunct))}")
+    elif rule is NOR_I_L or rule is NOR_I_R:
+        _expect_arity(rule, premises, 1)
         if not isinstance(concs[0], Neg):
-            _fail(path, rule, "premise must be a negation")
+            _fail(rule, "premise must be a negation")
         if not (isinstance(c, Neg) and isinstance(c.body, Or)):
-            _fail(path, rule, "conclusion must be a negated disjunction")
-        own = c.body.left if rule is Rule.NOR_I_L else c.body.right
+            _fail(rule, "conclusion must be a negated disjunction")
+        own = c.body.left if rule is NOR_I_L else c.body.right
         if own != concs[0].body:
-            _fail(path, rule, "premise must negate the matching disjunct")
-    elif rule in _DISCHARGING:
-        _expect_arity(d, path, 3)
-        if rule is Rule.OR_E:
+            _fail(rule, "premise must negate the matching disjunct")
+    else:  # OrE, NOrE
+        _expect_arity(rule, premises, 3)
+        if rule is OR_E:
             if not isinstance(concs[0], Or):
-                _fail(path, rule, "major premise must be a disjunction")
+                _fail(rule, "major premise must be a disjunction")
             case_l: Formula = concs[0].left
             case_r: Formula = concs[0].right
         else:
             if not (isinstance(concs[0], Neg) and isinstance(concs[0].body, Or)):
-                _fail(path, rule, "major premise must be a negated disjunction")
+                _fail(rule, "major premise must be a negated disjunction")
             case_l = Neg(concs[0].body.left)
             case_r = Neg(concs[0].body.right)
         if (concs[1], concs[2]) != (c, c):
-            _fail(path, rule, "both case branches must conclude the node's "
-                              "conclusion")
-        assert d.discharge is not None
-        if len(d.discharge) != 2:
-            _fail(path, rule, "discharge must name exactly two labels")
-        label_l, label_r = d.discharge
+            _fail(rule, "both case branches must conclude the node's conclusion")
+        assert discharge is not None
+        if len(discharge) != 2:
+            _fail(rule, "discharge must name exactly two labels")
+        label_l, label_r = discharge
         open_major, dis_major = results[0]
         open_l, dis_l = results[1]
         open_r, dis_r = results[2]
         for label in (label_l, label_r):
             if label in dis_major or label in dis_l or label in dis_r:
-                _fail(path, rule, f"label {label!r} is already discharged "
-                                  f"deeper in the tree")
-        _discharge(path, rule, open_l, label_l, case_l)
-        _discharge(path, rule, open_r, label_r, case_r)
+                _fail(rule, f"label {label!r} is already discharged deeper in the tree")
+        _discharge(rule, open_l, label_l, case_l)
+        _discharge(rule, open_r, label_r, case_r)
         if label_l in open_major or label_l in open_r:
-            _fail(path, rule, f"discharged label {label_l!r} is still open "
-                              f"outside its case branch")
+            _fail(rule, f"discharged label {label_l!r} is still open outside its case branch")
         if label_r in open_major or label_r in open_l:
-            _fail(path, rule, f"discharged label {label_r!r} is still open "
-                              f"outside its case branch")
-        open_map, discharged = _merge(path, rule, results)
+            _fail(rule, f"discharged label {label_r!r} is still open outside its case branch")
+        open_map, discharged = _merge(rule, results)
         return open_map, discharged | {label_l, label_r}
 
-    return _merge(path, rule, results)
+    return _merge(rule, results)
 
 
 def soundness_check(d: Derivation, cap: int = DEFAULT_CAP) -> bool:
@@ -415,12 +419,8 @@ def search(s: Sequent, depth: int = DEFAULT_DEPTH) -> Derivation | None:
             return None
     except CapExceededError:
         pass
-    assumptions: list[tuple[str, Formula]] = []
-    seen: set[Formula] = set()
-    for p in s.premises:
-        if p not in seen:
-            seen.add(p)
-            assumptions.append((f"p{len(assumptions) + 1}", p))
+    # dict.fromkeys drops repeated premises and keeps first occurrences in order
+    assumptions = [(f"p{i}", p) for i, p in enumerate(dict.fromkeys(s.premises), 1)]
     fresh = itertools.count(1)
     return _prove(s.conclusion, assumptions, depth, fresh)
 
@@ -438,14 +438,17 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
     if label is not None:
         return hyp(label, goal)
 
-    if isinstance(goal, Or) and goal.right == Neg(Neg(goal.left)):
+    # shapes are tested in place: building ~~A just to compare costs two nodes
+    if isinstance(goal, Or) and _is_double_negation(goal.right, goal.left):
         return nn2(goal.left)
 
     if depth >= 2:
+        doubled = [(label, g) for label, g in assumptions
+                   if isinstance(g, Neg) and isinstance(g.body, Neg)]
         for label_a, f in assumptions:
-            label_nn = _find(assumptions, Neg(Neg(f)))
-            if label_nn is not None:
-                return nn1(hyp(label_a, f), hyp(label_nn, Neg(Neg(f))), goal)
+            for label_nn, g in doubled:
+                if g.body.body == f:
+                    return nn1(hyp(label_a, f), hyp(label_nn, g), goal)
 
         # introduction rules on the goal's shape
         if isinstance(goal, And):
@@ -482,10 +485,10 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
                     return and_e_l(hyp(label_a, f))
                 if f.right == goal:
                     return and_e_r(hyp(label_a, f))
-            if isinstance(f, Neg) and isinstance(f.body, And):
-                if goal == Neg(f.body.left):
+            if isinstance(f, Neg) and isinstance(f.body, And) and isinstance(goal, Neg):
+                if goal.body == f.body.left:
                     return nand_e_l(hyp(label_a, f))
-                if goal == Neg(f.body.right):
+                if goal.body == f.body.right:
                     return nand_e_r(hyp(label_a, f))
 
         # case analysis, tried last
@@ -622,28 +625,24 @@ def _from_json(obj: object, depth: int, parsed: dict[str, Formula], nodes: dict)
     elif "discharge" in obj:
         raise ProofFormatError(f"{rule.value} must not carry 'discharge'")
     label = None
-    if rule is Rule.HYP:
+    if rule is HYP:
         raw_label = obj.get("label")
         if not isinstance(raw_label, str) or not raw_label:
             raise ProofFormatError("Hyp needs a non-empty 'label' string")
         label = raw_label
     elif "label" in obj:
         raise ProofFormatError(f"{rule.value} must not carry 'label'")
-    return Derivation(rule, conclusion,
-                      tuple([_from_json(p, depth + 1, parsed, nodes) for p in premises]),
-                      discharge, label)
+    kids = []
+    for p in premises:
+        kids.append(_from_json(p, depth + 1, parsed, nodes))
+    # tuple.__new__ skips Derivation's Python-level __new__
+    return tuple.__new__(Derivation, (rule, conclusion, tuple(kids), discharge, label))
 
 
 def render_derivation(d: Derivation, indent: int = 0) -> str:
     """Indented one-node-per-line rendering of a derivation tree."""
-    pad = "  " * indent
-    if d.rule is Rule.HYP:
-        line = f"{pad}Hyp [{d.label}] {format_formula(d.conclusion)}"
-    elif d.discharge is not None:
-        line = (f"{pad}{d.rule.value} {format_formula(d.conclusion)}"
-                f"  [discharges {d.discharge[0]}, {d.discharge[1]}]")
-    else:
-        line = f"{pad}{d.rule.value} {format_formula(d.conclusion)}"
-    parts = [line]
-    parts.extend(render_derivation(p, indent + 1) for p in d.premises)
-    return "\n".join(parts)
+    label = f" [{d.label}]" if d.rule is HYP else ""
+    line = f"{'  ' * indent}{d.rule.value}{label} {format_formula(d.conclusion)}"
+    if d.discharge is not None:
+        line += f"  [discharges {d.discharge[0]}, {d.discharge[1]}]"
+    return "\n".join([line] + [render_derivation(p, indent + 1) for p in d.premises])

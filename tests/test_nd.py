@@ -7,6 +7,7 @@ a leaf); every corruption must be rejected by check().
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 from unittest import mock
@@ -41,6 +42,7 @@ from cnl4.nd import (
     ProofFormatError,
     Rule,
     and_e_l,
+    and_e_r,
     and_i,
     check,
     corpus,
@@ -205,6 +207,15 @@ _OR_E_PREMISES = (hyp("h1", Or(P, P)), hyp("h2", P), hyp("h3", P))
                      (1,), Rule.AND_I,
                      "label 'h2' is discharged in one branch but used in a sibling branch",
                      id="sibling-clash"),
+        # the path is built as the failure unwinds, through the OrE's third premise
+        pytest.param(or_e(hyp("h1", Or(P, P)), hyp("h2", P),
+                          and_e_l(and_i(hyp("h3", P), and_e_r(and_i(
+                              hyp("h4", P), Derivation(Rule.NN1, Q, (hyp("h5", P),
+                                                                     hyp("h6", Neg(P)))))))),
+                          ("h2", "h3")),
+                     (2, 0, 1, 0, 1), Rule.NN1,
+                     "second premise must be the double negation of the first",
+                     id="deep-in-orE-right-case"),
     ],
 )
 def test_check_rejection_names_path_rule_and_message(bad, path, rule, message) -> None:
@@ -212,6 +223,8 @@ def test_check_rejection_names_path_rule_and_message(bad, path, rule, message) -
         check(bad)
     assert (exc_info.value.path, exc_info.value.rule, exc_info.value.message) == (
         path, rule, message)
+    where = ".".join(str(i) for i in path) or "root"
+    assert str(exc_info.value) == f"{rule.value if rule else '?'} at {where}: {message}"
 
 
 _BUILDER_ERRORS = [
@@ -487,6 +500,7 @@ def test_a_reused_hyp_object_checks_like_fresh_ones() -> None:
     # each visit of a shared node must get its own open map, or merging in
     # place would let one visit's result leak into another's
     a, h2 = hyp("a", P), hyp("h2", P)
+    pq = And(P, Q)
     cases = [
         (and_i(and_i(a, a), nn1(a, hyp("b", Neg(Neg(P))), Q)),
          and_i(and_i(hyp("a", P), hyp("a", P)), nn1(hyp("a", P), hyp("b", Neg(Neg(P))), Q))),
@@ -496,6 +510,12 @@ def test_a_reused_hyp_object_checks_like_fresh_ones() -> None:
         # h2 is discharged in the left case but still open in the right one
         (or_e(hyp("h1", Or(P, P)), h2, h2, ("h2", "h3")),
          or_e(hyp("h1", Or(P, P)), hyp("h2", P), hyp("h2", P), ("h2", "h3"))),
+        # one label over two equal formula objects, one object and two builder-made
+        (and_i(hyp("a", pq), hyp("a", pq)), and_i(hyp("a", And(P, Q)), hyp("a", And(P, Q)))),
+        (or_e(hyp("h1", Or(P, P)), and_e_l(and_i(hyp("h2", pq), hyp("h2", pq))),
+              hyp("h4", pq), ("h2", "h3")),
+         or_e(hyp("h1", Or(P, P)), and_e_l(and_i(hyp("h2", And(P, Q)), hyp("h2", And(P, Q)))),
+              hyp("h4", And(P, Q)), ("h2", "h3"))),
     ]
     for shared, fresh in cases:
         assert shared == fresh
@@ -504,6 +524,11 @@ def test_a_reused_hyp_object_checks_like_fresh_ones() -> None:
     assert check(cases[1][0]).open_assumptions == {Or(P, P)}
     with pytest.raises(DerivationError, match="'h2' is still open outside its case branch"):
         check(cases[2][0])
+    fresh_pq = cases[3][1].premises
+    assert fresh_pq[0].conclusion is not fresh_pq[1].conclusion
+    assert list(check(cases[3][1]).open_assumptions) == [And(P, Q)]
+    assert _outcome(check, cases[4][1]) == (
+        (), Rule.OR_E, "hypothesis 'h2' is p & q, but the case formula is p")
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +912,22 @@ def test_render_derivation_shows_structure() -> None:
 
 def test_discharging_rules_constant() -> None:
     assert DISCHARGING_RULES == {Rule.OR_E, Rule.NOR_E}
+
+
+def test_nd_functions_read_rules_through_module_names() -> None:
+    # On Python 3.11 every Rule.X read runs the enum metaclass's __getattr__,
+    # about 16 times the cost of a global, so nd binds the members once.
+    with open(nd.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    reads = [
+        (func.name, node.lineno)
+        for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "Rule" and node.attr in Rule.__members__
+    ]
+    assert reads == []
+    assert [getattr(nd, rule.name) for rule in Rule] == list(Rule)
 
 
 def test_corpus_entry_is_a_plain_record() -> None:
