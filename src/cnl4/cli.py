@@ -13,17 +13,12 @@ error; 4 internal error (a bug, reported in one line).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 from typing import NoReturn
 
-from .fc import (
-    UnaryTable,
-    find_term_for_unary,
-    unary_clone_closure,
-    verify_delta_c,
-)
 from .formula import (
     And,
     Atom,
@@ -48,25 +43,35 @@ from .matrix import (
     is_consequence,
     truth_table,
 )
-from .nd import (
-    DEFAULT_DEPTH,
-    DerivationError,
-    ProofFormatError,
-    check,
-    corpus,
-    derivation_sequent,
-    from_json_dict,
-    render_derivation,
-    search,
-    to_json_dict,
-)
-from .relational import (
-    FdeValue,
-    OPTIONS,
-    check_option_equivalence,
-    get_option,
-    option_table_lines,
-)
+
+#: The names this module takes from the layers only some verbs need.  A
+#: verb calls ``_load`` for its layers before it runs; ``__getattr__``
+#: loads them for a caller that reads ``cli.<name>`` first, such as a
+#: tracer that replaces the function with a wrapper.
+_LAYER_NAMES = {
+    "nd": ("DerivationError", "ProofFormatError", "check", "corpus", "derivation_sequent",
+           "from_json_dict", "render_derivation", "search", "to_json_dict"),
+    "fc": ("UnaryTable", "find_term_for_unary", "unary_clone_closure", "verify_delta_c"),
+    "relational": ("FdeValue", "OPTIONS", "check_option_equivalence", "get_option",
+                   "option_table_lines"),
+}
+
+
+def _load(*layers: str) -> None:
+    """Import each layer and bind its names here, keeping any name already
+    bound (a wrapper installed over it stays in place)."""
+    for layer in layers:
+        module = importlib.import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str) -> object:
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -97,6 +102,8 @@ def _resolve_settings(args: argparse.Namespace) -> None:
             raise UsageError("cap must be at least 1")
     if "depth" in args and args.depth < 1:
         raise UsageError("depth must be at least 1")
+    if "fde" in args and args.fde:
+        _load("relational")  # --fde prints values through an option's map
 
 
 def _emit_json(obj: object) -> None:
@@ -217,6 +224,7 @@ def cmd_countermodel(args: argparse.Namespace) -> int:
 
 
 def cmd_check_proof(args: argparse.Namespace) -> int:
+    _load("nd")
     with open(args.file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -249,6 +257,7 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
 
 
 def cmd_search_proof(args: argparse.Namespace) -> int:
+    _load("nd")
     s = parse_sequent(args.sequent)
     derivation = search(s, args.depth)
     if derivation is None:
@@ -277,6 +286,7 @@ def cmd_search_proof(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    _load("nd")
     entries = corpus()
     if args.format == "json":
         _emit_json([{"name": e.name,
@@ -290,6 +300,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_fc_verify(args: argparse.Namespace) -> int:
+    _load("fc")
     report = verify_delta_c()
     if args.format == "json":
         _emit_json({"ok": report.ok,
@@ -310,6 +321,7 @@ def cmd_fc_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fc_closure(args: argparse.Namespace) -> int:
+    _load("fc")
     result = unary_clone_closure()
     complete = result.size == 256
     if args.format == "json":
@@ -349,6 +361,7 @@ def _transport_table(option_id: str, mapping: dict[FdeValue, FdeValue]) -> Unary
 
 
 def cmd_fc_find(args: argparse.Namespace) -> int:
+    _load("fc", "relational")
     target = _transport_table(args.option or "O1", _parse_fde_table(args.target))
     term = format_formula(find_term_for_unary(target))
     if args.format == "json":
@@ -360,6 +373,7 @@ def cmd_fc_find(args: argparse.Namespace) -> int:
 
 
 def cmd_options_table(args: argparse.Namespace) -> int:
+    _load("relational")
     ids = [args.option] if args.option else list(OPTIONS)
     if args.format == "json":
         _emit_json({option_id: option_table_lines(get_option(option_id))
@@ -376,6 +390,7 @@ def cmd_options_table(args: argparse.Namespace) -> int:
 
 
 def cmd_options_compare(args: argparse.Namespace) -> int:
+    _load("relational")
     f = parse(args.formula)
     ids = [args.option] if args.option else list(OPTIONS)
     reports = [check_option_equivalence(get_option(i), f, args.cap) for i in ids]
@@ -411,13 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--cap", type=int, default=None, metavar="N",
                      help="variable cap for enumeration (default 10, or CNL4_CAP)")
     option = argparse.ArgumentParser(add_help=False)
-    option.add_argument("--option", choices=tuple(OPTIONS), default=None,
+    option.add_argument("--option", choices=("O1", "O2", "O3", "O4"), default=None,
                         help="option reading (default O1)")
     option_fde = argparse.ArgumentParser(add_help=False, parents=[option])
     option_fde.add_argument("--fde", action="store_true",
                             help="print values as t/b/n/f via the option's map")
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="N",
+    depth.add_argument("--depth", type=int, default=6, metavar="N",
                        help="maximum derivation height (default 6)")
     target = argparse.ArgumentParser(add_help=False)
     target.add_argument("--target", required=True, metavar="t:_,b:_,n:_,f:_",
@@ -466,12 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
 #: How ``run`` reports an error a verb raises: the first row whose type
 #: matches gives the message label and the exit code.  A JSONDecodeError
 #: and a UnicodeDecodeError are also ValueErrors, so their rows come first.
-_ERRORS: tuple[tuple[type[Exception], str, int], ...] = (
+#: ``nd``'s errors are named, and match nothing until a verb loads ``nd``.
+_ERRORS: tuple[tuple[type[Exception] | str, str, int], ...] = (
     (ParseError, "parse error", 3),
-    (ProofFormatError, "proof format error", 3),
+    ("ProofFormatError", "proof format error", 3),
     (json.JSONDecodeError, "proof file is not valid JSON", 3),
     (OSError, "cannot read input", 3),
-    (DerivationError, "check failed", 2),
+    ("DerivationError", "check failed", 2),
     (UsageError, "error", 3),
     (CapExceededError, "error", 3),
     (UnboundVariableError, "error", 3),
@@ -490,12 +506,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         _resolve_settings(args)
         return args.func(args)
-    except tuple(kind for kind, _, _ in _ERRORS) as exc:
-        label, code = next((label, code) for kind, label, code in _ERRORS
-                           if isinstance(exc, kind))
-        print(f"cnl4: {label}: {exc}", file=sys.stderr)
-        return code
-    except Exception as exc:  # a bug; never 1, which would claim a countermodel
+    except Exception as exc:
+        for kind, label, code in _ERRORS:
+            if isinstance(exc, globals().get(kind, ()) if isinstance(kind, str) else kind):
+                print(f"cnl4: {label}: {exc}", file=sys.stderr)
+                return code
+        # a bug; never 1, which would claim a countermodel
         print(f"cnl4: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
