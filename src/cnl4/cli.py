@@ -20,11 +20,7 @@ import sys
 from typing import NoReturn
 
 from .formula import (
-    And,
-    Atom,
     Formula,
-    Neg,
-    Or,
     ParseError,
     format_formula,
     format_sequent,
@@ -32,23 +28,15 @@ from .formula import (
     parse_sequent,
     variables,
 )
-from .matrix import (
-    CANONICAL_ORDER,
-    DEFAULT_CAP,
-    CapExceededError,
-    UnboundVariableError,
-    Value,
-    countermodel,
-    evaluate,
-    is_consequence,
-    truth_table,
-)
 
-#: The names this module takes from the layers only some verbs need.  A
-#: verb calls ``_load`` for its layers before it runs; ``__getattr__``
-#: loads them for a caller that reads ``cli.<name>`` first, such as a
-#: tracer that replaces the function with a wrapper.
+#: The names this module takes from each layer but ``formula``.  Each verb
+#: names its layers where ``build_parser`` registers it, and ``run`` loads
+#: them before the verb runs; ``__getattr__`` loads them for a caller that
+#: reads ``cli.<name>`` first, such as a tracer that replaces the function
+#: with a wrapper.
 _LAYER_NAMES = {
+    "matrix": ("CANONICAL_ORDER", "DEFAULT_CAP", "CapExceededError", "UnboundVariableError",
+               "Value", "countermodel", "evaluate", "is_consequence", "truth_table"),
     "nd": ("DerivationError", "ProofFormatError", "check", "corpus", "derivation_sequent",
            "from_json_dict", "render_derivation", "search", "to_json_dict"),
     "fc": ("UnaryTable", "find_term_for_unary", "unary_clone_closure", "verify_delta_c"),
@@ -125,14 +113,10 @@ def _assignment_json(inter: dict[str, Value], args: argparse.Namespace) -> dict[
 
 
 def _tree(f: Formula) -> dict:
-    if isinstance(f, Atom):
-        return {"type": "atom", "name": f.name}
-    if isinstance(f, Neg):
-        return {"type": "neg", "body": _tree(f.body)}
-    if isinstance(f, And):
-        return {"type": "and", "left": _tree(f.left), "right": _tree(f.right)}
-    assert isinstance(f, Or)
-    return {"type": "or", "left": _tree(f.left), "right": _tree(f.right)}
+    tree = {"type": type(f).__name__.lower()}
+    for name, field in zip(f._fields, f[1:]):
+        tree[name] = field if isinstance(field, str) else _tree(field)
+    return tree
 
 
 # --------------------------------------------------------------------------
@@ -154,6 +138,8 @@ def _parse_bindings(pairs: list[str]) -> dict[str, Value]:
         name, sep, symbol = pair.partition("=")
         if not sep or not name:
             raise UsageError(f"bindings look like p=1, got {pair!r}")
+        if name in assignment:
+            raise UsageError(f"variable {name!r} is bound more than once")
         try:
             assignment[name] = Value(symbol)
         except ValueError:
@@ -224,7 +210,6 @@ def cmd_countermodel(args: argparse.Namespace) -> int:
 
 
 def cmd_check_proof(args: argparse.Namespace) -> int:
-    _load("nd")
     with open(args.file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -257,7 +242,6 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
 
 
 def cmd_search_proof(args: argparse.Namespace) -> int:
-    _load("nd")
     s = parse_sequent(args.sequent)
     derivation = search(s, args.depth)
     if derivation is None:
@@ -286,7 +270,6 @@ def cmd_search_proof(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    _load("nd")
     entries = corpus()
     if args.format == "json":
         _emit_json([{"name": e.name,
@@ -300,7 +283,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_fc_verify(args: argparse.Namespace) -> int:
-    _load("fc")
     report = verify_delta_c()
     if args.format == "json":
         _emit_json({"ok": report.ok,
@@ -321,7 +303,6 @@ def cmd_fc_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fc_closure(args: argparse.Namespace) -> int:
-    _load("fc")
     result = unary_clone_closure()
     complete = result.size == 256
     if args.format == "json":
@@ -345,9 +326,12 @@ def _parse_fde_table(text: str) -> dict[FdeValue, FdeValue]:
         if not sep:
             raise UsageError(f"target entries look like t:f, got {part!r}")
         try:
-            mapping[FdeValue(source.strip())] = FdeValue(target.strip())
+            key, value = FdeValue(source.strip()), FdeValue(target.strip())
         except ValueError:
             raise UsageError(f"unknown value in {part!r} (use t, b, n, f)") from None
+        if key in mapping:
+            raise UsageError(f"target table gives {key} more than once")
+        mapping[key] = value
     missing = [w.value for w in FdeValue if w not in mapping]
     if missing:
         raise UsageError(f"target table is missing {', '.join(missing)}")
@@ -361,7 +345,6 @@ def _transport_table(option_id: str, mapping: dict[FdeValue, FdeValue]) -> Unary
 
 
 def cmd_fc_find(args: argparse.Namespace) -> int:
-    _load("fc", "relational")
     target = _transport_table(args.option or "O1", _parse_fde_table(args.target))
     term = format_formula(find_term_for_unary(target))
     if args.format == "json":
@@ -373,7 +356,6 @@ def cmd_fc_find(args: argparse.Namespace) -> int:
 
 
 def cmd_options_table(args: argparse.Namespace) -> int:
-    _load("relational")
     ids = [args.option] if args.option else list(OPTIONS)
     if args.format == "json":
         _emit_json({option_id: option_table_lines(get_option(option_id))
@@ -390,7 +372,6 @@ def cmd_options_table(args: argparse.Namespace) -> int:
 
 
 def cmd_options_compare(args: argparse.Namespace) -> int:
-    _load("relational")
     f = parse(args.formula)
     ids = [args.option] if args.option else list(OPTIONS)
     reports = [check_option_equivalence(get_option(i), f, args.cap) for i in ids]
@@ -438,50 +419,54 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--target", required=True, metavar="t:_,b:_,n:_,f:_",
                         help="target table in t/b/n/f names, e.g. t:f,b:b,n:n,f:t")
 
-    def verb(group, name: str, summary: str, func, parents: list, *positionals: str):
+    def verb(group, name: str, summary: str, func, layers: tuple[str, ...], parents: list,
+             *positionals: str):
         p = group.add_parser(name, help=summary, parents=parents)
         for positional in positionals:
             p.add_argument(positional)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, layers=layers)
         return p
 
     parser = _ArgumentParser(prog="cnl4", description="four-valued logic workbench")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    verb(sub, "parse", "parse a formula and reprint it", cmd_parse, [fmt], "formula")
+    verb(sub, "parse", "parse a formula and reprint it", cmd_parse, (), [fmt], "formula")
     p = verb(sub, "eval", "evaluate a formula under bindings like p=1", cmd_eval,
-             [fmt, option_fde], "formula")
+             ("matrix",), [fmt, option_fde], "formula")
     p.add_argument("bindings", nargs="*", metavar="name=value")
     verb(sub, "truthtable", "print the full truth table", cmd_truthtable,
-         [fmt, cap, option_fde], "formula")
+         ("matrix",), [fmt, cap, option_fde], "formula")
     verb(sub, "conseq", "check a sequent like 'p, q |- p & q'", cmd_conseq,
-         [fmt, cap, option_fde], "sequent")
+         ("matrix",), [fmt, cap, option_fde], "sequent")
     verb(sub, "countermodel", "print the first countermodel, if any", cmd_countermodel,
-         [fmt, cap, option_fde], "sequent")
-    verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof, [fmt], "file")
+         ("matrix",), [fmt, cap, option_fde], "sequent")
+    verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof,
+         ("nd",), [fmt], "file")
     p = verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
-             [depth, fmt], "sequent")
+             ("matrix", "nd"), [depth, fmt], "sequent")
     p.set_defaults(fde=False)  # an invalid sequent's countermodel prints matrix values
-    verb(sub, "corpus", "list the bundled derivations", cmd_corpus, [fmt])
+    verb(sub, "corpus", "list the bundled derivations", cmd_corpus, ("nd",), [fmt])
 
     p = sub.add_parser("fc", help="functional completeness tools")
     fc = p.add_subparsers(dest="fc_command", required=True, metavar="subcommand")
-    verb(fc, "verify", "check the delta/C defining terms", cmd_fc_verify, [fmt])
-    verb(fc, "closure", "compute the unary clone closure", cmd_fc_closure, [fmt])
-    verb(fc, "find", "find a term for a unary table", cmd_fc_find, [target, fmt, option])
+    verb(fc, "verify", "check the delta/C defining terms", cmd_fc_verify, ("fc",), [fmt])
+    verb(fc, "closure", "compute the unary clone closure", cmd_fc_closure, ("fc",), [fmt])
+    verb(fc, "find", "find a term for a unary table", cmd_fc_find,
+         ("matrix", "fc", "relational"), [target, fmt, option])
 
     p = sub.add_parser("options", help="option-reading tables and comparisons")
     options = p.add_subparsers(dest="options_command", required=True, metavar="subcommand")
     verb(options, "table", "print an option's connective tables", cmd_options_table,
-         [fmt, option])
+         ("relational",), [fmt, option])
     verb(options, "compare", "compare matrix and clause evaluation", cmd_options_compare,
-         [fmt, cap, option], "formula")
+         ("matrix", "relational"), [fmt, cap, option], "formula")
     return parser
 
 
 #: How ``run`` reports an error a verb raises: the first row whose type
 #: matches gives the message label and the exit code.  A JSONDecodeError
 #: and a UnicodeDecodeError are also ValueErrors, so their rows come first.
-#: ``nd``'s errors are named, and match nothing until a verb loads ``nd``.
+#: The errors of ``matrix`` and ``nd`` are named, and match nothing until
+#: a verb loads their layer.
 _ERRORS: tuple[tuple[type[Exception] | str, str, int], ...] = (
     (ParseError, "parse error", 3),
     ("ProofFormatError", "proof format error", 3),
@@ -489,8 +474,8 @@ _ERRORS: tuple[tuple[type[Exception] | str, str, int], ...] = (
     (OSError, "cannot read input", 3),
     ("DerivationError", "check failed", 2),
     (UsageError, "error", 3),
-    (CapExceededError, "error", 3),
-    (UnboundVariableError, "error", 3),
+    ("CapExceededError", "error", 3),
+    ("UnboundVariableError", "error", 3),
     (UnicodeDecodeError, "cannot read input", 3),
     (ValueError, "error", 3),
 )
@@ -504,6 +489,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
+        _load(*args.layers)
         _resolve_settings(args)
         return args.func(args)
     except Exception as exc:

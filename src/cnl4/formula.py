@@ -46,15 +46,14 @@ class ParseError(Exception):
         self.message = message
 
 
-class Formula(tuple):
-    """Base class for formula nodes: a node is the tuple of its class and
-    its fields, so ``And(p, q)`` is ``(And, p, q)``.
+class TaggedTuple(tuple):
+    """Base class for a record that is the tuple of its class and its
+    fields.  Two records are equal when they have the same class and equal
+    fields, and a record equals only a tuple that holds its class.
 
-    Two nodes are equal when they have the same class and equal fields; a
-    node equals only a tuple that holds its class, and atoms order by name.
-    Nodes are immutable: assigning or deleting a field raises
+    Records are immutable: assigning or deleting a field raises
     :class:`AttributeError`.  ``repr`` names every field, and ``_fields``
-    lists a node class's fields in order.
+    lists a record class's fields in order.
     """
 
     __slots__ = ()
@@ -73,6 +72,13 @@ class Formula(tuple):
     def __reduce__(self) -> tuple:
         # tuple's own pickling would hand the class item back to __new__
         return type(self), self[1:]
+
+
+class Formula(TaggedTuple):
+    """Base class for formula nodes: ``And(p, q)`` is ``(And, p, q)``, and
+    atoms order by name."""
+
+    __slots__ = ()
 
     # tuple's hash recurses in C unchecked, so a deep formula would crash
     # the interpreter; this one spends a frame per level and raises

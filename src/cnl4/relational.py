@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .engine import Clauses
-from .formula import Formula, Sequent
+from .formula import Formula, Sequent, TaggedTuple
 from .matrix import (
     BITS,
     CANONICAL_ORDER,
@@ -60,32 +60,18 @@ class FdeValue(Enum):
 FDE_ORDER: tuple[FdeValue, ...] = (FdeValue.T, FdeValue.B, FdeValue.N, FdeValue.F)
 
 
-class TruthSet(tuple):
-    """A subset of {1, 0}, tracked as two membership flags.
-
-    The tuple ``(TruthSet, has1, has0)``: immutable, and equal only to a
-    truth set with the same flags (or a tuple that holds its class), so
-    that :func:`rel_eval` refuses a bare pair such as ``(True, False)``.
-    """
+class TruthSet(TaggedTuple):
+    """A subset of {1, 0}, tracked as two membership flags: the tuple
+    ``(TruthSet, has1, has0)``, so :func:`rel_eval` refuses a bare pair
+    such as ``(True, False)``."""
 
     __slots__ = ()
+    _fields = ("has1", "has0")
     has1 = property(itemgetter(1))
     has0 = property(itemgetter(2))
 
     def __new__(cls, has1: bool, has0: bool) -> TruthSet:
         return tuple.__new__(cls, (cls, has1, has0))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"TruthSet(has1={self.has1!r}, has0={self.has0!r})"
-
-    def __reduce__(self) -> tuple:
-        return TruthSet, self[1:]
 
     def __str__(self) -> str:
         members = [m for m, present in (("1", self.has1), ("0", self.has0)) if present]

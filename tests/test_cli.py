@@ -118,6 +118,14 @@ def test_eval_bad_binding(capsys) -> None:
     assert code == 3
 
 
+@pytest.mark.parametrize("bindings", [["p=1", "p=0"], ["p=1", "q=0", "p=1"]])
+def test_eval_refuses_a_name_bound_twice(capsys, bindings) -> None:
+    code, out, err = invoke(capsys, "eval", "p | q", *bindings)
+    assert code == 3
+    assert out == ""
+    assert err == "cnl4: error: variable 'p' is bound more than once\n"
+
+
 def test_eval_unbound_variable(capsys) -> None:
     code, _, err = invoke(capsys, "eval", "p & q", "p=1")
     assert code == 3
@@ -288,7 +296,8 @@ def test_check_proof_error_is_independent_of_the_hash_seed(tmp_path) -> None:
     for seed in range(8):
         done = subprocess.run(
             [sys.executable, "-m", "cnl4.cli", "check-proof", str(path), "--format", "json"],
-            capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+            capture_output=True, text=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": str(seed), "PYTHONDONTWRITEBYTECODE": "1"})
         assert done.returncode == 2
         outputs.add(done.stdout)
     [out] = outputs
@@ -486,6 +495,16 @@ def test_fc_find_respects_option_map(capsys) -> None:
     )
     assert code == 0
     assert out.splitlines()[0] == "x"
+
+
+@pytest.mark.parametrize("target", ["t:f,b:b,n:n,f:t,t:b", "t:f,b:b,n:n,t:f,f:t",
+                                    "t:f, b:b, n:n, f:t, b:b"])
+def test_fc_find_refuses_a_value_given_twice(capsys, target) -> None:
+    code, out, err = invoke(capsys, "fc", "find", "--target", target)
+    assert code == 3
+    assert out == ""
+    repeated = "b" if target.endswith("b:b") else "t"
+    assert err == f"cnl4: error: target table gives {repeated} more than once\n"
 
 
 def test_fc_find_incomplete_table(capsys) -> None:

@@ -104,7 +104,7 @@ def test_import_builds_no_closure() -> None:
     code = "import cnl4.cli, cnl4.fc; print(cnl4.fc._closure.cache_info().currsize)"
     src = str(Path(cnl4.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": src})
+                         check=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert out.stdout == "0\n"
 
 
@@ -115,7 +115,7 @@ def test_import_loads_neither_dataclasses_nor_inspect() -> None:
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     src = str(Path(cnl4.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": src})
+                         check=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert out.stdout == "[]\n"
 
 

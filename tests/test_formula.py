@@ -323,7 +323,8 @@ def test_hashing_and_comparing_a_deep_formula_raise_recursion_error() -> None:
     # the C stack and kill the interpreter
     src = str(Path(cnl4.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", _DEEP_CHAINS],
-                          capture_output=True, text=True, env={"PYTHONPATH": src})
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
     assert done.returncode == 0, done.stderr
 
 

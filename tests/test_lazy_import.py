@@ -1,8 +1,8 @@
 """Which layers ``import cnl4`` and each CLI verb load, and what they keep.
 
 ``cnl4`` imports a layer when one of its names is first read, and the CLI
-imports ``nd``, ``fc`` and ``relational`` only for the verbs that use
-them.  Module loading is checked in fresh interpreters, one per case, with
+imports ``matrix``, ``nd``, ``fc`` and ``relational`` only for the verbs
+that use them.  Module loading is checked in fresh interpreters, one per case, with
 no bytecode written.  The public surface and the names the benchmark
 tracer wraps on ``cnl4.cli`` must resolve as they did with eager imports.
 """
@@ -23,7 +23,9 @@ from cnl4 import cli, nd, relational
 
 SRC = str(Path(cnl4.__file__).parents[1])
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
-LAYERS = {"cnl4.nd", "cnl4.fc", "cnl4.relational"}
+#: What every CLI command loads, and what ``matrix`` brings with it.
+BASE = {"cnl4.cli", "cnl4.formula"}
+MATRIX = {"cnl4.matrix", "cnl4.engine"}
 
 #: ``cnl4.__all__`` as the eager package listed it.
 PUBLIC_NAMES = [
@@ -74,21 +76,34 @@ def test_import_cnl4_loads_no_layer() -> None:
 
 @pytest.mark.parametrize(("argv", "layers"), [
     (["parse", "p & q"], set()),
-    (["conseq", "p, q |- p & q"], set()),
-    (["truthtable", "p | ~p"], set()),
-    (["check-proof", "{proof}"], {"cnl4.nd"}),
-    (["search-proof", "p & q |- q & p"], {"cnl4.nd"}),
-    (["fc", "verify"], {"cnl4.fc"}),
-    (["options", "table"], {"cnl4.relational"}),
-    (["conseq", "p |- q", "--fde"], {"cnl4.relational"}),
+    (["conseq", "p, q |- p & q"], MATRIX),
+    (["truthtable", "p | ~p"], MATRIX),
+    (["check-proof", "{proof}"], MATRIX | {"cnl4.nd"}),
+    (["search-proof", "p & q |- q & p"], MATRIX | {"cnl4.nd"}),
+    (["fc", "verify"], MATRIX | {"cnl4.fc"}),
+    (["options", "table"], MATRIX | {"cnl4.relational"}),
+    (["conseq", "p |- q", "--fde"], MATRIX | {"cnl4.relational"}),
+    (["eval", "p & q", "p=1", "q=j"], MATRIX),
+    (["countermodel", "p |- q"], MATRIX),
+    (["corpus"], MATRIX | {"cnl4.nd"}),
+    (["fc", "find", "--target", "t:f,b:b,n:n,f:t"], MATRIX | {"cnl4.fc", "cnl4.relational"}),
+    (["options", "compare", "p | ~p"], MATRIX | {"cnl4.relational"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_verb_loads_only_its_layers(tmp_path, argv, layers) -> None:
     proof = tmp_path / "proof.json"
     proof.write_text(json.dumps({"rule": "Hyp", "label": "h1", "conclusion": "p"}))
     code, loaded = fresh(_RUN_VERB, *(a.format(proof=proof) for a in argv))
     assert code in (0, 1)
-    assert {"cnl4.cli", "cnl4.formula", "cnl4.matrix"} <= set(loaded)
-    assert set(loaded) & LAYERS == layers
+    assert set(loaded) == BASE | layers
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["conseq", "--help"], ["conseq"],
+                                  ["no-such-verb"], ["truthtable", "p", "--cap", "x"]],
+                         ids=" ".join)
+def test_help_and_usage_errors_load_no_layer(argv) -> None:
+    code, loaded = fresh(_RUN_VERB, *argv)
+    assert code == (0 if "--help" in argv else 3)
+    assert set(loaded) == BASE
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +157,8 @@ def _traced_cli_names() -> list[str]:
 
 def test_tracer_names_resolve_on_a_fresh_cli() -> None:
     names = _traced_cli_names()
-    assert {"check", "search", "verify_delta_c", "option_table_lines"} <= set(names)
+    assert {"is_consequence", "check", "search", "verify_delta_c",
+            "option_table_lines"} <= set(names)
     resolved = fresh("import json, sys\nimport cnl4.cli\n"
                      "print(json.dumps([callable(getattr(cnl4.cli, n)) for n in sys.argv[1:]]))",
                      *names)
@@ -158,13 +174,13 @@ def counting(name, fn):
         counts[name] = counts.get(name, 0) + 1
         return fn(*args, **kwargs)
     return wrapper
-for name in ("check", "search", "verify_delta_c", "option_table_lines"):
+for name in ("is_consequence", "check", "search", "verify_delta_c", "option_table_lines"):
     setattr(cli, name, counting(name, getattr(cli, name)))
 proof = json.dumps({"rule": "Hyp", "label": "h1", "conclusion": "p"})
 with open("proof.json", "w") as handle:
     handle.write(proof)
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.run(argv) for argv in (["check-proof", "proof.json"],
+    codes = [cli.run(argv) for argv in (["conseq", "p |- p"], ["check-proof", "proof.json"],
                                         ["search-proof", "p |- p"],
                                         ["fc", "verify"], ["options", "table"])]
 print(json.dumps([codes, counts]))
@@ -174,8 +190,9 @@ print(json.dumps([codes, counts]))
 def test_verbs_call_functions_wrapped_before_their_layer_loads(tmp_path, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     codes, counts = fresh(_COUNT_CALLS)
-    assert codes == [0, 0, 0, 0]
-    assert counts == {"check": 1, "search": 1, "verify_delta_c": 1, "option_table_lines": 4}
+    assert codes == [0, 0, 0, 0, 0]
+    assert counts == {"is_consequence": 1, "check": 1, "search": 1, "verify_delta_c": 1,
+                      "option_table_lines": 4}
 
 
 # ---------------------------------------------------------------------------
