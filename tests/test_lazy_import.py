@@ -2,9 +2,10 @@
 
 ``cnl4`` imports a layer when one of its names is first read, and the CLI
 imports ``matrix``, ``nd``, ``fc`` and ``relational`` only for the verbs
-that use them.  Module loading is checked in fresh interpreters, one per case, with
-no bytecode written.  The public surface and the names the benchmark
-tracer wraps on ``cnl4.cli`` must resolve as they did with eager imports.
+that use them.  Module loading is checked in fresh interpreters, one per
+case, with no bytecode written.  The public surface and the names the
+benchmark tracer wraps on ``cnl4.cli`` must resolve as they did with
+eager imports.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def test_import_cnl4_loads_no_layer() -> None:
     (["eval", "p & q", "p=1", "q=j"], MATRIX),
     (["countermodel", "p |- q"], MATRIX),
     (["corpus"], MATRIX | {"cnl4.nd"}),
+    (["fc", "closure"], MATRIX | {"cnl4.fc"}),
     (["fc", "find", "--target", "t:f,b:b,n:n,f:t"], MATRIX | {"cnl4.fc", "cnl4.relational"}),
     (["options", "compare", "p | ~p"], MATRIX | {"cnl4.relational"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
