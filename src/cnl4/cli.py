@@ -132,12 +132,14 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_bindings(pairs: list[str]) -> dict[str, Value]:
+def _parse_bindings(pairs: list[str], names: list[str]) -> dict[str, Value]:
     assignment: dict[str, Value] = {}
     for pair in pairs:
         name, sep, symbol = pair.partition("=")
         if not sep or not name:
             raise UsageError(f"bindings look like p=1, got {pair!r}")
+        if name not in names:
+            raise UsageError(f"variable {name!r} does not occur in the formula")
         if name in assignment:
             raise UsageError(f"variable {name!r} is bound more than once")
         try:
@@ -150,7 +152,7 @@ def _parse_bindings(pairs: list[str]) -> dict[str, Value]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     f = parse(args.formula)
-    assignment = _parse_bindings(args.bindings)
+    assignment = _parse_bindings(args.bindings, variables(f))
     value = evaluate(f, assignment)
     if args.format == "json":
         _emit_json({"formula": format_formula(f),

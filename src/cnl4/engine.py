@@ -11,7 +11,9 @@ reading are different clause sets over the same two bits.
 Interpretations are numbered in scan order: each variable's digit
 indexes a scan order of the four values, the last variable cycling
 fastest, and interpretation ``k`` is bit ``k % block_size`` of block
-``k // block_size``.
+``k // block_size``.  A refutation scan over more than ``PROBE_VARS``
+variables first tries its first ``4 ** PROBE_VARS`` interpretations as one
+narrow block; the witness and ``checked`` are those of the plain scan.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ from .formula import And, Atom, Formula, Neg, Or
 #: variables occur), which bounds the size of a plane whatever n is.
 BLOCK_VARS = 8
 
+#: Program.first_countermodel tries 4 ** PROBE_VARS interpretations first.
+PROBE_VARS = 4
+
 _ATOM, _NEG, _AND, _OR = range(4)
+_OP_OF_TYPE = {Atom: _ATOM, Neg: _NEG, And: _AND, Or: _OR}
+_CHILDREN_DONE = object()  # compile-stack mark: the node under it is next
 
 Planes = tuple[int, int]
 
@@ -64,33 +71,23 @@ class Program:
         for root in formulas:
             stack = [root]
             while stack:
-                f = stack[-1]
-                if id(f) in node_of:
-                    stack.pop()
+                f = stack.pop()
+                if f is _CHILDREN_DONE:
+                    f = stack.pop()
+                    op = _OP_OF_TYPE[type(f)]
+                    key = (op, node_of[id(f[1])], 0 if op == _NEG else node_of[id(f[2])])
+                elif id(f) in node_of:
                     continue
-                # a node stays on the stack until its children have
-                # nodes, left child first, so atoms are met left to right
-                if isinstance(f, Atom):
-                    key = (_ATOM, variables.setdefault(f.name, len(variables)), 0)
-                elif isinstance(f, Neg):
-                    body = node_of.get(id(f.body))
-                    if body is None:
-                        stack.append(f.body)
-                        continue
-                    key = (_NEG, body, 0)
-                elif isinstance(f, (And, Or)):
-                    left = node_of.get(id(f.left))
-                    if left is None:
-                        stack.append(f.left)
-                        continue
-                    right = node_of.get(id(f.right))
-                    if right is None:
-                        stack.append(f.right)
-                        continue
-                    key = (_AND if isinstance(f, And) else _OR, left, right)
                 else:
-                    raise TypeError(f"not a formula: {f!r}")
-                stack.pop()
+                    op = _OP_OF_TYPE.get(type(f))
+                    if op is None:
+                        raise TypeError(f"not a formula: {f!r}")
+                    if op != _ATOM:
+                        # children first, left first (And(p, q) is (And, p, q)),
+                        # so atoms are met left to right; then f again
+                        stack += (f, _CHILDREN_DONE, *f[:0:-1])
+                        continue
+                    key = (_ATOM, variables.setdefault(f[1], len(variables)), 0)
                 node = index.setdefault(key, len(nodes))
                 if node == len(nodes):
                     nodes.append(key)
@@ -98,33 +95,29 @@ class Program:
         self.nodes = nodes
         self.roots = [node_of[id(root)] for root in formulas]
         self.names = list(variables)
-        # drop each inner plane after its last reader, so the live planes
-        # stay few however large the formulas are
-        last_reader = {}
-        for i, (op, a, b) in enumerate(nodes):
-            if op != _ATOM:
-                last_reader[a] = i
-            if op in (_AND, _OR):
-                last_reader[b] = i
-        for root in self.roots:
-            last_reader.pop(root, None)
-        self._release: list[list[int]] = [[] for _ in nodes]
-        for node, reader in last_reader.items():
-            self._release[reader].append(node)
         self.block_size = 4 ** min(len(self.names), BLOCK_VARS)
 
-    def blocks(self, clauses: Clauses) -> Iterator[tuple[int, list[Planes]]]:
-        """``(block number, planes of each formula)`` for every block, in
-        scan order."""
+    @functools.cached_property
+    def _release(self) -> list[set[int]]:
+        """The inner nodes whose plane each node reads last, dropped after it
+        in blocks wider than a probe, so the live planes stay few however
+        large the formulas are."""
+        release, seen = [], set(self.roots)
+        for op, a, b in reversed(self.nodes):
+            read = set() if op == _ATOM else {a} if op == _NEG else {a, b}
+            release.append(read - seen)
+            seen |= read
+        return release[::-1]
+
+    def blocks(self, clauses: Clauses,
+               cycling: int = BLOCK_VARS) -> Iterator[tuple[int, list[Planes]]]:
+        """``(block number, planes of each formula)`` for every block of
+        ``4 ** cycling`` interpretations (or all, if fewer), in scan order."""
         n = len(self.names)
-        cycling = min(n, BLOCK_VARS)
+        cycling = min(n, cycling)
         fixed = n - cycling
-        full = (1 << self.block_size) - 1
-        mask1 = sum(1 << d for d, (has1, _) in enumerate(clauses.codes) if has1)
-        mask0 = sum(1 << d for d, (_, has0) in enumerate(clauses.codes) if has0)
-        atoms: list[Planes] = [(0, 0)] * fixed + [
-            (_cycle_plane(rank, cycling, mask1), _cycle_plane(rank, cycling, mask0))
-            for rank in reversed(range(cycling))]
+        full = (1 << 4 ** cycling) - 1
+        atoms: list[Planes] = [(0, 0)] * fixed + [*_cycle_planes(clauses.codes, cycling)]
         for block in range(4 ** fixed):
             for i in range(fixed):
                 has1, has0 = clauses.codes[(block >> 2 * (fixed - 1 - i)) & 3]
@@ -135,7 +128,8 @@ class Program:
         """Planes of each formula, given the planes of each variable and
         the all-ones plane ``full``: the one evaluation loop."""
         neg, conj, disj = clauses.neg, clauses.conj, clauses.disj
-        nodes, release = self.nodes, self._release
+        nodes = self.nodes
+        release = self._release if full.bit_length() > 4 ** PROBE_VARS else [()] * len(nodes)
         p1: list = [0] * len(nodes)
         p0: list = [0] * len(nodes)
         for i, (op, a, b) in enumerate(nodes):
@@ -159,16 +153,25 @@ class Program:
         ``checked``: its index + 1, or ``4 ** n`` when there is none.  A
         refutation stops in the block that holds it.
         """
-        full = (1 << self.block_size) - 1
-        for block, planes in self.blocks(clauses):
-            bad = full
-            for p1, p0 in planes[:-1]:
-                bad &= clauses.designated(p1, p0, full)
-            bad &= ~clauses.designated(*planes[-1], full)
-            if bad:
-                index = block * self.block_size + (bad & -bad).bit_length() - 1
-                return self.digits(index), index + 1
-        return None, 4 ** len(self.names)
+        n = len(self.names)
+        # The scan's first 4 ** PROBE_VARS interpretations (leading digits 0)
+        # go first as one block, so an early countermodel does not pay for a
+        # wide one: a 256-bit plane is four machine words, so its operations
+        # cost about what one-word ones do.  A full block rescans them.
+        for cycling in (PROBE_VARS, BLOCK_VARS) if n > PROBE_VARS else (BLOCK_VARS,):
+            size = 4 ** min(n, cycling)
+            full = (1 << size) - 1
+            for block, planes in self.blocks(clauses, cycling):
+                bad = full
+                for p1, p0 in planes[:-1]:
+                    bad &= clauses.designated(p1, p0, full)
+                bad &= ~clauses.designated(*planes[-1], full)
+                if bad:
+                    index = block * size + (bad & -bad).bit_length() - 1
+                    return self.digits(index), index + 1
+                if cycling == PROBE_VARS:
+                    break
+        return None, 4 ** n
 
     def digits(self, index: int) -> list[int]:
         """Scan digit of each variable in interpretation ``index``."""
@@ -177,18 +180,23 @@ class Program:
 
 
 @functools.cache
-def _cycle_plane(rank: int, cycling: int, mask: int) -> int:
-    """Plane of the variable ``rank`` places before the fastest one, over
-    a block in which ``cycling`` variables cycle: bit ``k`` is set when
-    digit ``(k >> 2 * rank) & 3`` is in ``mask``.  Built by shift-doubling
-    on first use; at most 16 * BLOCK_VARS ** 2 of them exist."""
-    run = 4 ** rank
-    plane = 0
-    for digit in range(4):
-        if mask >> digit & 1:
-            plane |= ((1 << run) - 1) << digit * run
-    width, size = 4 * run, 4 ** cycling
-    while width < size:
-        plane |= plane << width
-        width *= 2
-    return plane
+def _cycle_planes(codes: tuple[tuple[bool, bool], ...], cycling: int) -> tuple[Planes, ...]:
+    """Planes of the ``cycling`` variables of a block in which they cycle,
+    slowest first: bit ``k`` of the plane of the variable ``rank`` places
+    before the fastest one holds that bit of ``codes[(k >> 2 * rank) & 3]``.
+    Built by shift-doubling on first use, once per scan order and width."""
+    size = 4 ** cycling
+    planes = []
+    for rank in reversed(range(cycling)):
+        run = 4 ** rank
+        pair = [0, 0]
+        for digit, code in enumerate(codes):
+            for bit in (0, 1):
+                if code[bit]:
+                    pair[bit] |= ((1 << run) - 1) << digit * run
+        width = 4 * run
+        while width < size:
+            pair = [plane | plane << width for plane in pair]
+            width *= 2
+        planes.append(tuple(pair))
+    return tuple(planes)

@@ -128,6 +128,7 @@ def connective_tables(clauses: Clauses, values: Sequence) -> tuple[dict, dict, d
 #: The connective tables, keyed in canonical order: negation is the
 #: four-cycle, conjunction and disjunction are meet and join.
 NEG, AND, OR = connective_tables(matrix_clauses(CANONICAL_ORDER), CANONICAL_ORDER)
+_WITNESS_CLAUSES = matrix_clauses(WITNESS_ORDER)  # is_consequence's, built once
 
 
 def evaluate(f: Formula, interpretation: Interpretation) -> Value:
@@ -227,7 +228,7 @@ def is_consequence(s: Sequent, cap: int = DEFAULT_CAP) -> Verdict:
     ``checked`` is the index of the first countermodel + 1, or ``4 ** n``
     when there is none; the scan stops in the block holding it.
     """
-    return scan_consequence(s, cap, matrix_clauses(WITNESS_ORDER), WITNESS_ORDER)
+    return scan_consequence(s, cap, _WITNESS_CLAUSES, WITNESS_ORDER)
 
 
 def countermodel(s: Sequent, cap: int = DEFAULT_CAP) -> dict[str, Value] | None:

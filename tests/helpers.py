@@ -12,6 +12,8 @@ parser is the recursive-descent parser the library's one-pass parser
 must agree with, results and errors alike.  The reference checker is the
 proof checker that copied every open-assumption map and compared rebuilt
 formulas; ``nd.check`` must agree with it, results and errors alike.
+The reference compile is the ``isinstance`` walk that ``engine.Program``
+replaced with a dispatch on the node's type; their DAGs must be equal.
 """
 
 from __future__ import annotations
@@ -626,6 +628,49 @@ def reference_evaluate(f: Formula, interpretation) -> Value:
         return OR[(reference_evaluate(f.left, interpretation),
                    reference_evaluate(f.right, interpretation))]
     raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_program(formulas) -> tuple[list, list, list]:
+    """``(nodes, roots, names)`` of ``engine.Program(formulas)``, compiled by
+    an iterative walk that tests each node with ``isinstance`` and reads
+    its children by field name."""
+    index: dict = {}
+    nodes: list = []
+    variables: dict = {}
+    node_of: dict = {}
+    for root in formulas:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if id(f) in node_of:
+                stack.pop()
+                continue
+            if isinstance(f, Atom):
+                key = (0, variables.setdefault(f.name, len(variables)), 0)
+            elif isinstance(f, Neg):
+                body = node_of.get(id(f.body))
+                if body is None:
+                    stack.append(f.body)
+                    continue
+                key = (1, body, 0)
+            elif isinstance(f, (And, Or)):
+                left = node_of.get(id(f.left))
+                if left is None:
+                    stack.append(f.left)
+                    continue
+                right = node_of.get(id(f.right))
+                if right is None:
+                    stack.append(f.right)
+                    continue
+                key = (2 if isinstance(f, And) else 3, left, right)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            stack.pop()
+            node = index.setdefault(key, len(nodes))
+            if node == len(nodes):
+                nodes.append(key)
+            node_of[id(f)] = node
+    return nodes, [node_of[id(root)] for root in formulas], list(variables)
 
 
 def reference_rel_eval(option: OptionReading, f: Formula, assignment) -> TruthSet:

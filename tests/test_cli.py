@@ -64,7 +64,8 @@ def test_parse_error_exit_code(capsys) -> None:
 
 
 def _formula_verbs(text: str) -> list[list[str]]:
-    return [["parse", text], ["eval", text, "p=1", "q=j"], ["truthtable", text],
+    bindings = ["p=1", "q=j"] if "q" in text else ["p=1"]  # eval refuses an absent atom
+    return [["parse", text], ["eval", text, *bindings], ["truthtable", text],
             ["conseq", f"{text} |- {text}"], ["countermodel", f"{text} |- p"],
             ["search-proof", f"{text} |- {text}"], ["options", "compare", text]]
 
@@ -124,6 +125,14 @@ def test_eval_refuses_a_name_bound_twice(capsys, bindings) -> None:
     assert code == 3
     assert out == ""
     assert err == "cnl4: error: variable 'p' is bound more than once\n"
+
+
+@pytest.mark.parametrize("bindings", [["p=1", "zz=0"], ["zz=0", "p=1"], ["p=1", "zz=x"]])
+def test_eval_refuses_a_binding_for_an_absent_atom(capsys, bindings) -> None:
+    code, out, err = invoke(capsys, "eval", "p", *bindings)
+    assert code == 3
+    assert out == ""
+    assert err == "cnl4: error: variable 'zz' does not occur in the formula\n"
 
 
 def test_eval_unbound_variable(capsys) -> None:

@@ -7,7 +7,9 @@ bits.  These tests pin each clause set to its golden connective table (so,
 by induction on formulas, the engine computes the semantics the tables
 define) and check that verdicts, witnesses, ``checked`` counts, rows,
 mismatches, single values and unbound atoms equal those of the reference
-evaluators and scans in ``helpers``, including across block boundaries.
+evaluators and scans in ``helpers``, including across block boundaries
+and at the edge of the narrow first block a refutation scan tries.  The
+compiled DAG must equal that of the reference compile walk.
 """
 
 from __future__ import annotations
@@ -19,8 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnl4.engine import BLOCK_VARS, Program
-from cnl4.formula import And, Atom, Neg, Or, Sequent, parse, parse_sequent, variables
+from cnl4.engine import BLOCK_VARS, PROBE_VARS, Program
+from cnl4.formula import (
+    And,
+    Atom,
+    Formula,
+    Neg,
+    Or,
+    Sequent,
+    format_formula,
+    parse,
+    parse_sequent,
+    variables,
+)
 from cnl4.matrix import (
     BITS,
     CANONICAL_ORDER,
@@ -42,6 +55,7 @@ from cnl4.relational import (
     NegFalsityClause,
     NegTruthClause,
     Preservation,
+    TruthSet,
     check_option_equivalence,
     correspond,
     option_clauses,
@@ -55,6 +69,7 @@ from helpers import (
     reference_consequence,
     reference_evaluate,
     reference_mismatches,
+    reference_program,
     reference_rel_designated,
     reference_rel_eval,
 )
@@ -252,3 +267,119 @@ def test_deep_and_wide_formulas_do_not_recurse() -> None:
         doubled = And(doubled, doubled)
     assert len(Program([doubled]).nodes) == 201
     assert is_consequence(Sequent((doubled,), Atom("p"))).valid
+
+
+#: The two ``~``-powers of ``x`` designated together exactly when ``x`` has
+#: the value: ``x``, ``~x``, ``~~x`` and ``~~~x`` are designated for
+#: {1, i}, {j, 1}, {0, j} and {i, 0}.
+PIN = {Value.V1: (0, 1), Value.VI: (0, 3), Value.VJ: (1, 2), Value.V0: (2, 3)}
+PROBE = 4 ** PROBE_VARS
+
+
+def negations(f: Formula, k: int) -> Formula:
+    for _ in range(k):
+        f = Neg(f)
+    return f
+
+
+def everywhere(atoms: list[Atom]) -> Formula:
+    """A formula over ``atoms``, in order, designated under every
+    interpretation: a conjunction of excluded middles ``x | ~~x``."""
+    f = Or(atoms[0], negations(atoms[0], 2))
+    for x in atoms[1:]:
+        f = And(f, Or(x, negations(x, 2)))
+    return f
+
+
+def pins(pinned: dict[Atom, Value]) -> list[Formula]:
+    """Premises designated together exactly when each atom has its value."""
+    return [negations(x, k) for x, v in pinned.items() for k in PIN[v]]
+
+
+def countermodel_at(index: int | None, n: int) -> Sequent:
+    """A sequent over ``x0`` ... ``x{n-1}`` whose first countermodel in
+    witness order is interpretation ``index``, or a valid one for ``None``.
+
+    The first premise fixes the scan order; the others pin each variable
+    whose digit in ``index`` is not 0, and no interpretation designates
+    the conclusion ``x & ~~x``, so the first countermodel has every other
+    digit 0.  The valid sequent's first two premises are never designated
+    together, which keeps the reference scan cheap.
+    """
+    atoms = [Atom(f"x{k}") for k in range(n)]
+    if index is None:
+        return Sequent((atoms[0], negations(atoms[0], 2), *atoms[1:]), atoms[0])
+    digits = [(index >> 2 * (n - 1 - k)) & 3 for k in range(n)]
+    pinned = {x: WITNESS_ORDER[d] for x, d in zip(atoms, digits) if d}
+    return Sequent((everywhere(atoms), *pins(pinned)), And(atoms[0], negations(atoms[0], 2)))
+
+
+def assert_equals_reference(s: Sequent, option_id: str | None) -> tuple:
+    option = None if option_id is None else OPTIONS[option_id]
+    expected = reference_consequence(s, option)
+    got = engine_consequence(s, option_id)
+    assert got == expected
+    if expected[1] is not None:
+        assert list(got[1]) == list(expected[1])
+    return expected
+
+
+@pytest.mark.parametrize("n", [5, 8, BLOCK_VARS + 1])
+@pytest.mark.parametrize("index", [PROBE - 1, PROBE, PROBE + 1, None],
+                         ids=["last in probe", "first past probe", "second past probe", "valid"])
+@pytest.mark.parametrize("option_id", SEMANTICS)
+def test_probe_boundary_equals_reference(n, index, option_id) -> None:
+    """Over more than PROBE_VARS variables a refutation scan tries the first
+    4 ** PROBE_VARS interpretations as a block of their own: a countermodel
+    on either side of that block's edge, and a valid sequent, get the
+    verdict, witness and ``checked`` of the plain scan."""
+    expected = assert_equals_reference(countermodel_at(index, n), option_id)
+    assert expected[2] == (4 ** n if index is None else index + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 7), st.data())
+def test_five_to_seven_variables_equal_reference(n, data) -> None:
+    """Random sequents over 5-7 variables, some with pinned variables, so
+    that the first countermodel often lies past the first block."""
+    names = tuple(f"x{k}" for k in range(n))
+    atoms = [Atom(name) for name in names]
+    pinned = data.draw(st.dictionaries(st.sampled_from(atoms), st.sampled_from(WITNESS_ORDER),
+                                       max_size=2))
+    formulas = formula_strategy(atoms=names, max_leaves=8)
+    premises = data.draw(st.lists(formulas, max_size=2))
+    s = Sequent((everywhere(atoms), *pins(pinned), *premises), data.draw(formulas))
+    assert_equals_reference(s, data.draw(st.sampled_from(SEMANTICS)))
+
+
+def unshared(f: Formula) -> Formula:
+    """A structurally equal copy of ``f`` that shares no node object."""
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    return type(f)(*map(unshared, f[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=12),
+                min_size=1, max_size=3))
+def test_compile_equals_reference_program(formulas) -> None:
+    """The same nodes, roots and names as the ``isinstance`` walk, whether
+    equal subformulas are one object (hypothesis reuses atoms, ``parse``
+    shares within a text, a formula may repeat or be doubled) or not."""
+    batches = [formulas, [*formulas, *formulas[::-1]], [And(f, f) for f in formulas],
+               [unshared(f) for f in formulas] + formulas,
+               [parse(format_formula(f)) for f in formulas]]
+    for batch in batches:
+        program = Program(batch)
+        assert (program.nodes, program.roots, program.names) == reference_program(batch)
+
+
+@pytest.mark.parametrize("bad", ["p", TruthSet(True, False), None],
+                         ids=["str", "truth set", "None"])
+def test_compile_refuses_a_non_formula(bad) -> None:
+    f = Or(Atom("q"), And(Atom("p"), bad))
+    with pytest.raises(TypeError) as reference_error:
+        reference_program([f])
+    with pytest.raises(TypeError) as error:
+        Program([f])
+    assert str(error.value) == str(reference_error.value) == f"not a formula: {bad!r}"
