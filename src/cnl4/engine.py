@@ -4,9 +4,10 @@ Every semantics in this package encodes a value as two bits, membership
 of 1 and membership of 0 in a truth set.  A *plane* is a Python int
 holding one of those bits for each interpretation of a block, so one
 integer operation evaluates a connective on the whole block at once
-(bitslicing).  A :class:`Clauses` value says how the connectives act on
-planes and which planes are designated; the matrix and every option
-reading are different clause sets over the same two bits.
+(bitslicing).  A :class:`Clauses` value is a reading as data: which
+planes ``~`` complements, how falsity spreads and which plane is
+designated.  The matrix and every option reading are points of that one
+family, applied inline by the one loop, :meth:`Program.planes`.
 
 Interpretations are numbered in scan order: each variable's digit
 indexes a scan order of the four values, the last variable cycling
@@ -19,7 +20,7 @@ narrow block; the witness and ``checked`` are those of the plain scan.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .formula import And, Atom, Formula, Neg, Or
 
@@ -38,20 +39,26 @@ Planes = tuple[int, int]
 
 
 class Clauses(NamedTuple):
-    """A semantics over planes.
+    """A semantics over planes, as data: one point of a clause family.
 
-    ``codes[d]`` is the ``(has1, has0)`` pair of scan digit ``d``.  The
-    connectives map the ``(has1, has0)`` planes of their arguments to
-    those of the result; ``full`` is the block's all-ones plane, for
-    complements.  ``designated`` gives the plane of interpretations under
-    which a value is designated.
+    ``codes[d]`` is the ``(has1, has0)`` pair of scan digit ``d``.  ``~A``
+    has 1 where ``A`` has 0 and 0 where ``A`` has 1, complemented when
+    ``neg1_flips`` and ``neg0_flips`` respectively.  ``A & B`` has 1 where
+    both do, and 0 where either does if ``falsity_either``, else where both
+    do; ``A | B`` dually.
     """
 
     codes: tuple[tuple[bool, bool], ...]
-    neg: Callable[[int, int, int], Planes]
-    conj: Callable[[int, int, int, int], Planes]
-    disj: Callable[[int, int, int, int], Planes]
-    designated: Callable[[int, int, int], int]
+    neg1_flips: bool
+    neg0_flips: bool
+    falsity_either: bool
+    designates_1: bool
+    designation_flips: bool
+
+    def designated(self, p1: int, p0: int, full: int) -> int:
+        """Where ``(p1, p0)`` is designated: ``p1`` if ``designates_1``, else
+        ``p0``, complemented within ``full`` when ``designation_flips``."""
+        return (p1 if self.designates_1 else p0) ^ (full if self.designation_flips else 0)
 
 
 class Program:
@@ -127,7 +134,9 @@ class Program:
     def planes(self, clauses: Clauses, atoms: Sequence[Planes], full: int) -> list[Planes]:
         """Planes of each formula, given the planes of each variable and
         the all-ones plane ``full``: the one evaluation loop."""
-        neg, conj, disj = clauses.neg, clauses.conj, clauses.disj
+        neg1 = full if clauses.neg1_flips else 0
+        neg0 = full if clauses.neg0_flips else 0
+        either = clauses.falsity_either
         nodes = self.nodes
         release = self._release if full.bit_length() > 4 ** PROBE_VARS else [()] * len(nodes)
         p1: list = [0] * len(nodes)
@@ -136,11 +145,11 @@ class Program:
             if op == _ATOM:
                 p1[i], p0[i] = atoms[a]
             elif op == _NEG:
-                p1[i], p0[i] = neg(p1[a], p0[a], full)
+                p1[i], p0[i] = p0[a] ^ neg1, p1[a] ^ neg0
             elif op == _AND:
-                p1[i], p0[i] = conj(p1[a], p0[a], p1[b], p0[b])
+                p1[i], p0[i] = p1[a] & p1[b], (p0[a] | p0[b] if either else p0[a] & p0[b])
             else:
-                p1[i], p0[i] = disj(p1[a], p0[a], p1[b], p0[b])
+                p1[i], p0[i] = p1[a] | p1[b], (p0[a] & p0[b] if either else p0[a] | p0[b])
             for done in release[i]:
                 p1[done] = p0[done] = None
         return [(p1[r], p0[r]) for r in self.roots]

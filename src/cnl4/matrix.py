@@ -6,9 +6,10 @@ lattice join, and negation is the four-cycle 1 -> i -> 0 -> j -> 1.  The
 designated values are 1 and i; consequence is preservation of
 designation under every interpretation.
 
-The matrix is defined once, as O1's truth-set clauses
-(:func:`matrix_clauses`); the tables :data:`NEG`, :data:`AND` and
-:data:`OR` are read off that clause set by :func:`connective_tables`.
+The matrix is defined once, as O1's point of the truth-set clause family
+(:func:`matrix_clauses`, a :class:`~cnl4.engine.Clauses` value); the
+tables :data:`NEG`, :data:`AND` and :data:`OR` are read off the one
+evaluation loop run on that clause set by :func:`connective_tables`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import product
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import Clauses, Program
-from .formula import Formula, Sequent
+from .formula import Formula, Sequent, parse
 
 DEFAULT_CAP = 10
 
@@ -102,33 +103,33 @@ def matrix_clauses(order: Sequence[Value]) -> Clauses:
     conjunction is true when both conjuncts are and false when either is;
     disjunction dually; designated means 1 is in the set.
     """
-    return Clauses(
-        codes=tuple(BITS[v] for v in order),
-        neg=lambda a1, a0, full: (full ^ a0, a1),
-        conj=lambda a1, a0, b1, b0: (a1 & b1, a0 | b0),
-        disj=lambda a1, a0, b1, b0: (a1 | b1, a0 & b0),
-        designated=lambda a1, a0, full: a1,
-    )
+    return Clauses(tuple(BITS[v] for v in order), neg1_flips=True, neg0_flips=False,
+                   falsity_either=True, designates_1=True, designation_flips=False)
+
+
+_TABLE_PROGRAM = Program([parse(text) for text in ("~x", "x & y", "x | y")])
 
 
 def connective_tables(clauses: Clauses, values: Sequence) -> tuple[dict, dict, dict]:
-    """The ~, & and | tables of ``clauses``, read off by applying them to
-    single bits; code ``clauses.codes[k]`` names ``values[k]``."""
+    """The ~, & and | tables of ``clauses``, read off the one block of 16
+    interpretations of ``~x``, ``x & y`` and ``x | y``, in which bit
+    ``4 * a + b`` gives x digit ``a`` and y digit ``b``; code
+    ``clauses.codes[k]`` names ``values[k]``."""
+    [(_, planes)] = _TABLE_PROGRAM.blocks(clauses)
     named = dict(zip(clauses.codes, values))
+    neg, conj, disj = ([named[bool(p1 >> k & 1), bool(p0 >> k & 1)] for k in range(16)]
+                       for p1, p0 in planes)
+    pairs = list(product(values, repeat=2))
+    return dict(zip(values, neg[::4])), dict(zip(pairs, conj)), dict(zip(pairs, disj))
 
-    def read(planes: tuple[int, int]):
-        return named[bool(planes[0]), bool(planes[1])]
 
-    pairs = [(a, b) for a in named.items() for b in named.items()]
-    return ({v: read(clauses.neg(*code, 1)) for code, v in named.items()},
-            {(a, b): read(clauses.conj(*ac, *bc)) for (ac, a), (bc, b) in pairs},
-            {(a, b): read(clauses.disj(*ac, *bc)) for (ac, a), (bc, b) in pairs})
-
+# Built once: evaluate's, truth_table's and the tables', and is_consequence's.
+_CANONICAL_CLAUSES = matrix_clauses(CANONICAL_ORDER)
+_WITNESS_CLAUSES = matrix_clauses(WITNESS_ORDER)
 
 #: The connective tables, keyed in canonical order: negation is the
 #: four-cycle, conjunction and disjunction are meet and join.
-NEG, AND, OR = connective_tables(matrix_clauses(CANONICAL_ORDER), CANONICAL_ORDER)
-_WITNESS_CLAUSES = matrix_clauses(WITNESS_ORDER)  # is_consequence's, built once
+NEG, AND, OR = connective_tables(_CANONICAL_CLAUSES, CANONICAL_ORDER)
 
 
 def evaluate(f: Formula, interpretation: Interpretation) -> Value:
@@ -137,7 +138,7 @@ def evaluate(f: Formula, interpretation: Interpretation) -> Value:
     Raises :class:`UnboundVariableError` if an atom of ``f`` has no value,
     and :class:`TypeError` if it has one that is not a :class:`Value`.
     """
-    return evaluate_point(f, interpretation, matrix_clauses(CANONICAL_ORDER), CANONICAL_ORDER)
+    return evaluate_point(f, interpretation, _CANONICAL_CLAUSES, CANONICAL_ORDER)
 
 
 def evaluate_point(f: Formula, interpretation: Mapping, clauses: Clauses, values: Sequence):
@@ -186,7 +187,7 @@ def truth_table(f: Formula, cap: int = DEFAULT_CAP) -> list[tuple[dict[str, Valu
     program = compile_within_cap([f], cap)
     width = program.block_size
     values: list[Value] = []
-    for _, [(p1, p0)] in program.blocks(matrix_clauses(CANONICAL_ORDER)):
+    for _, [(p1, p0)] in program.blocks(_CANONICAL_CLAUSES):
         # bit k of a plane is character k of the reversed binary string
         values += map(_VALUE_OF_BITS.get, zip(f"{p1:0{width}b}"[::-1], f"{p0:0{width}b}"[::-1]))
     return list(zip(interpretations(program.names), values))

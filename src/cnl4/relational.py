@@ -18,7 +18,9 @@ value of a conjunction iff it is in both conjuncts, of a disjunction iff
 it is in some disjunct); the options differ in how falsity propagates.
 Under each option the clause-by-clause evaluation commutes with the
 value translation, so all four describe the same consequence relation as
-the matrix.
+the matrix.  :func:`option_clauses` maps an option's choices onto the
+fields of a :class:`~cnl4.engine.Clauses` value, the data the engine's
+one loop applies; the matrix is O1's point of that family.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .matrix import (
     WITNESS_ORDER,
     Value,
     Verdict,
+    _CANONICAL_CLAUSES,
     compile_within_cap,
     connective_tables,
     evaluate_point,
-    matrix_clauses,
     render_table_lines,
     scan_consequence,
 )
@@ -201,27 +203,14 @@ def option_clauses(option: OptionReading, order: Sequence[Value]) -> Clauses:
     :func:`rel_eval`, :func:`rel_designated` and :func:`option_tables`
     apply these clauses.
     """
-    zero_absent = option.neg_truth is NegTruthClause.ZERO_ABSENT
-    one_present = option.neg_falsity is NegFalsityClause.ONE_PRESENT
-    either = option.falsity_style is FalsityStyle.EITHER
-    preservation = option.preservation
-
-    def neg(a1: int, a0: int, full: int) -> tuple[int, int]:
-        return (full ^ a0 if zero_absent else a0), (a1 if one_present else full ^ a1)
-
-    def conj(a1: int, a0: int, b1: int, b0: int) -> tuple[int, int]:
-        return a1 & b1, (a0 | b0 if either else a0 & b0)
-
-    def disj(a1: int, a0: int, b1: int, b0: int) -> tuple[int, int]:
-        return a1 | b1, (a0 & b0 if either else a0 | b0)
-
-    def designated(a1: int, a0: int, full: int) -> int:
-        if preservation is Preservation.TRUTH:
-            return a1
-        return full ^ a0 if preservation is Preservation.NON_FALSITY else a0
-
-    codes = tuple((s.has1, s.has0) for s in (correspond(option, v) for v in order))
-    return Clauses(codes, neg, conj, disj, designated)
+    return Clauses(
+        codes=tuple((s.has1, s.has0) for s in (correspond(option, v) for v in order)),
+        neg1_flips=option.neg_truth is NegTruthClause.ZERO_ABSENT,
+        neg0_flips=option.neg_falsity is NegFalsityClause.ONE_ABSENT,
+        falsity_either=option.falsity_style is FalsityStyle.EITHER,
+        designates_1=option.preservation is Preservation.TRUTH,
+        designation_flips=option.preservation is Preservation.NON_FALSITY,
+    )
 
 
 def rel_consequence(option: OptionReading, s: Sequent,
@@ -273,7 +262,7 @@ def check_option_equivalence(option: OptionReading, f: Formula,
     image = {BITS[v]: correspond(option, v) for v in CANONICAL_ORDER}
     mismatches = []
     for (block, [(m1, m0)]), (_, [(c1, c0)]) in zip(
-            program.blocks(matrix_clauses(CANONICAL_ORDER)),
+            program.blocks(_CANONICAL_CLAUSES),
             program.blocks(option_clauses(option, CANONICAL_ORDER))):
         full = (1 << program.block_size) - 1
         v1 = v0 = 0

@@ -8,8 +8,10 @@ by induction on formulas, the engine computes the semantics the tables
 define) and check that verdicts, witnesses, ``checked`` counts, rows,
 mismatches, single values and unbound atoms equal those of the reference
 evaluators and scans in ``helpers``, including across block boundaries
-and at the edge of the narrow first block a refutation scan tries.  The
-compiled DAG must equal that of the reference compile walk.
+and at the edge of the narrow first block a refutation scan tries, under
+the matrix, O1-O4 and all 24 clause-and-preservation readings.  Clause
+sets are plain values that compare and hash.  The compiled DAG must equal
+that of the reference compile walk.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from cnl4.relational import (
     FalsityStyle,
     NegFalsityClause,
     NegTruthClause,
+    OptionReading,
     Preservation,
     TruthSet,
     check_option_equivalence,
@@ -78,12 +81,24 @@ SEMANTICS = (None, *OPTIONS)
 X, Y = Atom("x"), Atom("y")
 FDE_OF_SET = {s: v for v, s in TRUTH_SETS.items()}
 
+#: Every combination of negation clauses, falsity style and preservation,
+#: on O1's value map: the clause sets of O1-O4 and 20 others.
+READINGS = [
+    OPTIONS["O1"]._replace(id="/".join(c.name for c in choice),
+                           neg_truth=choice[0], neg_falsity=choice[1],
+                           falsity_style=choice[2], preservation=choice[3])
+    for choice in itertools.product(NegTruthClause, NegFalsityClause, FalsityStyle,
+                                    Preservation)]
+#: The matrix (``None``), O1-O4 and the 24 readings, for the differential
+#: tests that draw a semantics.
+EVERY_READING = (None, *OPTIONS.values(), *READINGS)
 
-def engine_consequence(s: Sequent, option_id: str | None):
-    if option_id is None:
+
+def engine_consequence(s: Sequent, option: OptionReading | None):
+    if option is None:
         verdict = is_consequence(s)
     else:
-        verdict = rel_consequence(OPTIONS[option_id], s)
+        verdict = rel_consequence(option, s)
     return verdict.valid, verdict.witness, verdict.checked
 
 
@@ -125,12 +140,11 @@ def test_option_clauses_match_golden_table(option_id) -> None:
 @given(
     st.lists(formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=8), max_size=3),
     formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=8),
-    st.sampled_from(SEMANTICS),
+    st.sampled_from(EVERY_READING),
 )
-def test_consequence_equals_reference(premises, conclusion, option_id) -> None:
+def test_consequence_equals_reference(premises, conclusion, option) -> None:
     s = Sequent(tuple(premises), conclusion)
-    option = None if option_id is None else OPTIONS[option_id]
-    got = engine_consequence(s, option_id)
+    got = engine_consequence(s, option)
     expected = reference_consequence(s, option)
     assert got == expected
     if expected[1] is not None:
@@ -145,15 +159,14 @@ def test_truth_table_equals_reference(f) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(formula_strategy(max_leaves=10), st.sampled_from(SEMANTICS),
+@given(formula_strategy(max_leaves=10), st.sampled_from(EVERY_READING),
        st.dictionaries(st.sampled_from(("p", "q", "r")), st.sampled_from(CANONICAL_ORDER)))
-def test_point_evaluation_equals_reference(f, option_id, inter) -> None:
+def test_point_evaluation_equals_reference(f, option, inter) -> None:
     """``evaluate`` and ``rel_eval`` at one interpretation, which may leave
     atoms unbound: the same value, or the same first unbound atom named."""
-    if option_id is None:
+    if option is None:
         engine, reference, env = evaluate, reference_evaluate, inter
     else:
-        option = OPTIONS[option_id]
         env = {name: correspond(option, v) for name, v in inter.items()}
 
         def engine(f, env):
@@ -171,14 +184,16 @@ def test_point_evaluation_equals_reference(f, option_id, inter) -> None:
     assert outcome(engine) == outcome(reference)
 
 
-#: Every combination of negation clauses, falsity style and preservation,
-#: on O1's value map: the clause sets of O1-O4 and 20 others.
-READINGS = [
-    OPTIONS["O1"]._replace(id="/".join(c.name for c in choice),
-                           neg_truth=choice[0], neg_falsity=choice[1],
-                           falsity_style=choice[2], preservation=choice[3])
-    for choice in itertools.product(NegTruthClause, NegFalsityClause, FalsityStyle,
-                                    Preservation)]
+def test_clause_sets_are_comparable_data() -> None:
+    """A reading's clauses are a plain value: O1's equal the matrix's in
+    either scan order, every clause set hashes, and the 24 readings give 24
+    distinct sets."""
+    for order in (CANONICAL_ORDER, WITNESS_ORDER):
+        assert option_clauses(OPTIONS["O1"], order) == matrix_clauses(order)
+        for option in (*OPTIONS.values(), *READINGS):
+            hash(option_clauses(option, order))
+        hash(matrix_clauses(order))
+    assert len({option_clauses(r, WITNESS_ORDER) for r in READINGS}) == len(READINGS) == 24
 
 
 @pytest.mark.parametrize("option", READINGS, ids=[r.id for r in READINGS])
@@ -216,7 +231,7 @@ def test_late_countermodel_across_blocks(n, option_id) -> None:
     value."""
     others = [f"x{k}" for k in range(1, n)]
     s = parse_sequent(f"~~x & ~x |- {' | '.join(others)}")
-    valid, witness, checked = engine_consequence(s, option_id)
+    valid, witness, checked = engine_consequence(s, OPTIONS.get(option_id))
     j, zero = WITNESS_ORDER.index(Value.VJ), WITNESS_ORDER.index(Value.V0)
     index = j * 4 ** (n - 1) + sum(zero * 4 ** k for k in range(n - 1))
     assert (valid, checked) == (False, index + 1)
@@ -231,7 +246,7 @@ def test_late_countermodel_across_blocks(n, option_id) -> None:
 def test_valid_sequent_checks_every_block(n, option_id) -> None:
     names = [f"x{k}" for k in range(n)]
     s = parse_sequent(f"{' & '.join(names)} |- {names[-1]} | {names[0]}")
-    assert engine_consequence(s, option_id) == (True, None, 4 ** n)
+    assert engine_consequence(s, OPTIONS.get(option_id)) == (True, None, 4 ** n)
 
 
 def test_shared_subformulas_compile_once() -> None:
@@ -314,10 +329,9 @@ def countermodel_at(index: int | None, n: int) -> Sequent:
     return Sequent((everywhere(atoms), *pins(pinned)), And(atoms[0], negations(atoms[0], 2)))
 
 
-def assert_equals_reference(s: Sequent, option_id: str | None) -> tuple:
-    option = None if option_id is None else OPTIONS[option_id]
+def assert_equals_reference(s: Sequent, option: OptionReading | None) -> tuple:
     expected = reference_consequence(s, option)
-    got = engine_consequence(s, option_id)
+    got = engine_consequence(s, option)
     assert got == expected
     if expected[1] is not None:
         assert list(got[1]) == list(expected[1])
@@ -333,15 +347,42 @@ def test_probe_boundary_equals_reference(n, index, option_id) -> None:
     4 ** PROBE_VARS interpretations as a block of their own: a countermodel
     on either side of that block's edge, and a valid sequent, get the
     verdict, witness and ``checked`` of the plain scan."""
-    expected = assert_equals_reference(countermodel_at(index, n), option_id)
+    expected = assert_equals_reference(countermodel_at(index, n), OPTIONS.get(option_id))
     assert expected[2] == (4 ** n if index is None else index + 1)
+
+
+def past_the_probe(reading: OptionReading, n: int) -> Sequent:
+    """A sequent over ``x0`` ... ``x{n-1}`` whose first countermodel under
+    ``reading`` has ``x0`` past scan digit 0 (t), so lies past the probe
+    block: for falsity the premises ``x0`` ... need 0, which t lacks;
+    otherwise the conclusion joins every variable with the connective whose
+    value is undesignated only when every argument's is."""
+    atoms = [Atom(f"x{k}") for k in range(n)]
+    if reading.preservation is Preservation.FALSITY:
+        return Sequent(tuple(atoms[:-1]), atoms[-1])
+    by_and = (reading.preservation is Preservation.NON_FALSITY
+              and reading.falsity_style is FalsityStyle.BOTH)
+    joined = atoms[0]
+    for x in atoms[1:]:
+        joined = And(joined, x) if by_and else Or(joined, x)
+    return Sequent((), joined)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("reading", READINGS, ids=[r.id for r in READINGS])
+def test_every_reading_scans_probe_and_full_block(reading, n) -> None:
+    """Each reading's designation runs in the probe block, which holds no
+    countermodel, and then in a full block, which does."""
+    valid, _, checked = assert_equals_reference(past_the_probe(reading, n), reading)
+    assert not valid and checked > PROBE
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(5, 7), st.data())
 def test_five_to_seven_variables_equal_reference(n, data) -> None:
     """Random sequents over 5-7 variables, some with pinned variables, so
-    that the first countermodel often lies past the first block."""
+    that the first countermodel often lies past the first block, under the
+    matrix, an option or any of the 24 readings."""
     names = tuple(f"x{k}" for k in range(n))
     atoms = [Atom(name) for name in names]
     pinned = data.draw(st.dictionaries(st.sampled_from(atoms), st.sampled_from(WITNESS_ORDER),
@@ -349,7 +390,7 @@ def test_five_to_seven_variables_equal_reference(n, data) -> None:
     formulas = formula_strategy(atoms=names, max_leaves=8)
     premises = data.draw(st.lists(formulas, max_size=2))
     s = Sequent((everywhere(atoms), *pins(pinned), *premises), data.draw(formulas))
-    assert_equals_reference(s, data.draw(st.sampled_from(SEMANTICS)))
+    assert_equals_reference(s, data.draw(st.sampled_from(EVERY_READING)))
 
 
 def unshared(f: Formula) -> Formula:
