@@ -34,8 +34,10 @@ MAX_PROOF_DEPTH = 100
 #: Largest search depth :func:`search` accepts.  Search recurses once per
 #: level.  Under pytest with 150 extra frames on the stack, a search that
 #: splits a disjunction at every level and compares formulas at
-#: :data:`~cnl4.formula.MAX_DEPTH` completes at depth 600 and overflows at
-#: 620 (Python 3.11).
+#: :data:`~cnl4.formula.MAX_DEPTH` completes at depth 608 and overflows at
+#: 610.  A search whose first case split, and so its matrix check, sits
+#: 199 levels down completes at depth 200 with 750 extra frames and
+#: overflows with 760 (Python 3.11).
 MAX_SEARCH_DEPTH = 200
 
 
@@ -406,23 +408,40 @@ def search(s: Sequent, depth: int = DEFAULT_DEPTH) -> Derivation | None:
 
     Deterministic: assumption order and a fixed rule order decide the
     result.  ``None`` means the sequent is matrix-invalid, so by soundness
-    it has no derivation (checked before searching, up to ``DEFAULT_CAP``
-    variables), or that no derivation was found within the bound.  Raises
-    ``ValueError`` when ``depth`` is below 1 or exceeds :data:`MAX_SEARCH_DEPTH`.
+    it has no derivation (checked at the first case split, up to
+    ``DEFAULT_CAP`` variables), or that no derivation was found within the
+    bound.  Raises ``ValueError`` when ``depth`` is below 1 or exceeds
+    :data:`MAX_SEARCH_DEPTH`.
     """
     if depth < 1:
         raise ValueError(f"search depth {depth} is below 1")
     if depth > MAX_SEARCH_DEPTH:
         raise ValueError(f"search depth {depth} exceeds the bound of {MAX_SEARCH_DEPTH}")
-    try:
-        if not is_consequence(s).valid:
-            return None
-    except CapExceededError:
-        pass
     # dict.fromkeys drops repeated premises and keeps first occurrences in order
     assumptions = [(f"p{i}", p) for i, p in enumerate(dict.fromkeys(s.premises), 1)]
-    fresh = itertools.count(1)
-    return _prove(s.conclusion, assumptions, depth, fresh)
+    return _prove(s.conclusion, assumptions, depth, _Search(s))
+
+
+class _Search:
+    """One search's state: the counter behind the ``h<n>`` case labels, and
+    the sequent's matrix verdict, computed at the first case split, since
+    case analysis alone makes bounded search blow up.  Above the cap the
+    verdict is ``True`` and search goes on unchecked."""
+
+    __slots__ = ("sequent", "labels", "valid")
+
+    def __init__(self, s: Sequent) -> None:
+        self.sequent = s
+        self.labels = itertools.count(1)
+        self.valid: bool | None = None
+
+    def may_split(self) -> bool:
+        if self.valid is None:
+            try:
+                self.valid = is_consequence(self.sequent).valid
+            except CapExceededError:
+                self.valid = True
+        return self.valid
 
 
 def _find(assumptions: list[tuple[str, Formula]], f: Formula) -> str | None:
@@ -433,7 +452,7 @@ def _find(assumptions: list[tuple[str, Formula]], f: Formula) -> str | None:
 
 
 def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
-           depth: int, fresh: "itertools.count[int]") -> Derivation | None:
+           depth: int, state: _Search) -> Derivation | None:
     label = _find(assumptions, goal)
     if label is not None:
         return hyp(label, goal)
@@ -452,29 +471,29 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
 
         # introduction rules on the goal's shape
         if isinstance(goal, And):
-            left = _prove(goal.left, assumptions, depth - 1, fresh)
+            left = _prove(goal.left, assumptions, depth - 1, state)
             if left is not None:
-                right = _prove(goal.right, assumptions, depth - 1, fresh)
+                right = _prove(goal.right, assumptions, depth - 1, state)
                 if right is not None:
                     return and_i(left, right)
         elif isinstance(goal, Or):
-            left = _prove(goal.left, assumptions, depth - 1, fresh)
+            left = _prove(goal.left, assumptions, depth - 1, state)
             if left is not None:
                 return or_i_l(left, goal.right)
-            right = _prove(goal.right, assumptions, depth - 1, fresh)
+            right = _prove(goal.right, assumptions, depth - 1, state)
             if right is not None:
                 return or_i_r(right, goal.left)
         elif isinstance(goal, Neg) and isinstance(goal.body, And):
-            left = _prove(Neg(goal.body.left), assumptions, depth - 1, fresh)
+            left = _prove(Neg(goal.body.left), assumptions, depth - 1, state)
             if left is not None:
-                right = _prove(Neg(goal.body.right), assumptions, depth - 1, fresh)
+                right = _prove(Neg(goal.body.right), assumptions, depth - 1, state)
                 if right is not None:
                     return nand_i(left, right)
         elif isinstance(goal, Neg) and isinstance(goal.body, Or):
-            left = _prove(Neg(goal.body.left), assumptions, depth - 1, fresh)
+            left = _prove(Neg(goal.body.left), assumptions, depth - 1, state)
             if left is not None:
                 return nor_i_l(left, goal.body.right)
-            right = _prove(Neg(goal.body.right), assumptions, depth - 1, fresh)
+            right = _prove(Neg(goal.body.right), assumptions, depth - 1, state)
             if right is not None:
                 return nor_i_r(right, goal.body.left)
 
@@ -501,12 +520,14 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
                 build = nor_e
             else:
                 continue
-            label_l = f"h{next(fresh)}"
-            label_r = f"h{next(fresh)}"
-            left = _prove(goal, assumptions + [(label_l, cases[0])], depth - 1, fresh)
+            if not state.may_split():  # invalid: no split can find a derivation
+                return None
+            label_l = f"h{next(state.labels)}"
+            label_r = f"h{next(state.labels)}"
+            left = _prove(goal, assumptions + [(label_l, cases[0])], depth - 1, state)
             if left is None:
                 continue
-            right = _prove(goal, assumptions + [(label_r, cases[1])], depth - 1, fresh)
+            right = _prove(goal, assumptions + [(label_r, cases[1])], depth - 1, state)
             if right is None:
                 continue
             return build(hyp(label_a, f), left, right, (label_l, label_r))

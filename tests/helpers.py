@@ -14,6 +14,9 @@ proof checker that copied every open-assumption map and compared rebuilt
 formulas; ``nd.check`` must agree with it, results and errors alike.
 The reference compile is the ``isinstance`` walk that ``engine.Program``
 replaced with a dispatch on the node's type; their DAGs must be equal.
+The reference search checks the sequent against the matrix before it
+searches; ``nd.search``, which checks at its first case split, must find
+the same derivation.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from itertools import count, product
 
 from hypothesis import strategies as st
 
+from cnl4 import nd
 from cnl4.fc import BinaryTable, UnaryTable
 from cnl4.formula import (
     MAX_DEPTH,
@@ -46,9 +50,11 @@ from cnl4.matrix import (
     NEG,
     OR,
     WITNESS_ORDER,
+    CapExceededError,
     UnboundVariableError,
     Value,
     interpretations,
+    is_consequence,
 )
 from cnl4.nd import (
     DISCHARGING_RULES,
@@ -448,6 +454,24 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
         return open_map, discharged | {label_l, label_r}
 
     return _merge(path, rule, results)
+
+
+# The reference search: ``nd.search`` as it was before its matrix check
+# moved to the first case split.  It checks the sequent first and only then
+# runs the search body, which finds the verdict already made.  ``search``
+# must give the same result, labels included, on every sequent.
+
+def reference_search(s: Sequent, depth: int) -> Derivation | None:
+    """``search`` in the eager order: the matrix check, then ``_prove``."""
+    try:
+        if not is_consequence(s).valid:
+            return None
+    except CapExceededError:
+        pass
+    state = nd._Search(s)
+    state.valid = True
+    assumptions = [(f"p{i}", p) for i, p in enumerate(dict.fromkeys(s.premises), 1)]
+    return nd._prove(s.conclusion, assumptions, depth, state)
 
 
 # The reference parser: a tokenizer of frozen-dataclass tokens and a

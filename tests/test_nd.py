@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import json
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -64,6 +65,7 @@ from helpers import (
     derivation_strategy,
     random_sequent,
     reference_check,
+    reference_search,
     rules_used,
     splittable_sequent_strategy,
 )
@@ -692,12 +694,61 @@ def prove_calls(monkeypatch) -> list:
     return calls
 
 
-def test_precheck_refutes_without_searching(prove_calls) -> None:
+@pytest.fixture
+def consequence_calls(monkeypatch) -> list:
+    """Every call search makes to ``nd.is_consequence``."""
+    calls = []
+    consequence = nd.is_consequence
+
+    def counting(*args):
+        calls.append(args)
+        return consequence(*args)
+
+    monkeypatch.setattr(nd, "is_consequence", counting)
+    return calls
+
+
+def test_precheck_refutes_at_the_first_case_split(prove_calls, consequence_calls) -> None:
+    # the root call is the first to try case analysis, and the check stops it
     invalid = parse_sequent("a | b, c | d, e | f, ~(g | h) |- z")
     assert search(invalid, 12) is None
-    assert prove_calls == []
+    assert len(prove_calls) == 1
+    assert consequence_calls == [(invalid,)]
+    # a search that never splits never checks
+    prove_calls.clear()
+    consequence_calls.clear()
     assert search(parse_sequent("p & q |- q"), 2) is not None
     assert prove_calls
+    assert consequence_calls == []
+
+
+def test_precheck_runs_at_a_deep_first_split(monkeypatch) -> None:
+    # the conjunction is a left chain, so search takes its left conjunct
+    # 198 times down to c & c at depth 2, whose left c fails at depth 1;
+    # there it first splits a | b, with 199 _prove frames on the stack
+    invalid = parse_sequent("a | b |- " + " & ".join(["c"] * 200))
+    frames = []
+    consequence = nd.is_consequence
+
+    def counting(*args):
+        frame, depth = sys._getframe(1), 0
+        while frame is not None:
+            depth += frame.f_code is nd._prove.__code__
+            frame = frame.f_back
+        frames.append(depth)
+        return consequence(*args)
+
+    monkeypatch.setattr(nd, "is_consequence", counting)
+    assert search(invalid, MAX_SEARCH_DEPTH) is None
+    assert frames == [MAX_SEARCH_DEPTH - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(splittable_sequent_strategy(), st.integers(1, 5))
+def test_search_agrees_with_the_eager_reference(sequent, depth) -> None:
+    # the strategy draws sequents with and without splittable premises,
+    # valid and invalid ones
+    assert search(sequent, depth) == reference_search(sequent, depth)
 
 
 def test_search_above_the_cap_runs_unchecked(prove_calls) -> None:
