@@ -5,9 +5,13 @@ tables, consequence checking with countermodels, proof checking and
 search, the bundled derivation corpus, functional-completeness reports,
 and the option-reading tables.
 
+Each verb computes and returns ``(code, record, text)``: its exit code,
+its JSON record and its text.  ``run`` prints the one ``--format`` names,
+so a verb writes to stdout only through ``run``.
+
 Exit codes: 0 success/valid; 1 semantically invalid (a countermodel was
-found and printed); 2 check or verification failure; 3 usage or parse
-error; 4 internal error (a bug, reported in one line).
+found and printed); 2 check or verification failure; 3 usage, parse,
+input or output error; 4 internal error (a bug, reported in one line).
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         _load("relational")  # --fde prints values through an option's map
 
 
-def _emit_json(obj: object) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+#: What a verb returns: its exit code, its JSON record and its text; ``run``
+#: prints the one ``--format`` names, and nothing for ``None``.
+_Result = tuple[int, object, str | None]
 
 
 def _value_str(v: Value, args: argparse.Namespace) -> str:
@@ -104,12 +109,12 @@ def _value_str(v: Value, args: argparse.Namespace) -> str:
     return v.value
 
 
-def _assignment_str(inter: dict[str, Value], args: argparse.Namespace) -> str:
-    return ", ".join(f"{name}={_value_str(inter[name], args)}" for name in sorted(inter))
-
-
 def _assignment_json(inter: dict[str, Value], args: argparse.Namespace) -> dict[str, str]:
     return {name: _value_str(v, args) for name, v in inter.items()}
+
+
+def _assignment_str(assignment: dict[str, str]) -> str:
+    return ", ".join(f"{name}={assignment[name]}" for name in sorted(assignment))
 
 
 def _tree(f: Formula) -> dict:
@@ -122,14 +127,10 @@ def _tree(f: Formula) -> dict:
 # --------------------------------------------------------------------------
 # Subcommands
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace) -> _Result:
     f = parse(args.formula)
-    if args.format == "json":
-        _emit_json({"formula": format_formula(f), "variables": variables(f),
-                    "tree": _tree(f)})
-    else:
-        print(format_formula(f))
-    return 0
+    text = format_formula(f)
+    return 0, {"formula": text, "variables": variables(f), "tree": _tree(f)}, text
 
 
 def _parse_bindings(pairs: list[str], names: list[str]) -> dict[str, Value]:
@@ -150,68 +151,53 @@ def _parse_bindings(pairs: list[str], names: list[str]) -> dict[str, Value]:
     return assignment
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> _Result:
     f = parse(args.formula)
     assignment = _parse_bindings(args.bindings, variables(f))
-    value = evaluate(f, assignment)
-    if args.format == "json":
-        _emit_json({"formula": format_formula(f),
-                    "assignment": _assignment_json(assignment, args),
-                    "value": _value_str(value, args)})
-    else:
-        print(_value_str(value, args))
-    return 0
+    value = _value_str(evaluate(f, assignment), args)
+    return 0, {"formula": format_formula(f), "assignment": _assignment_json(assignment, args),
+               "value": value}, value
 
 
-def cmd_truthtable(args: argparse.Namespace) -> int:
+def cmd_truthtable(args: argparse.Namespace) -> _Result:
     f = parse(args.formula)
     rows = truth_table(f, args.cap)
     names = variables(f)
+    # either rendering has a row per interpretation (4**n), so build only the one asked for
     if args.format == "json":
-        _emit_json({"formula": format_formula(f), "variables": names,
-                    "rows": [{"assignment": _assignment_json(inter, args),
-                              "value": _value_str(value, args)}
-                             for inter, value in rows]})
-    else:
-        print(" ".join(names) + " | " + format_formula(f))
-        for inter, value in rows:
-            cells = " ".join(_value_str(inter[name], args) for name in names)
-            print(cells + " | " + _value_str(value, args))
-    return 0
+        return 0, {"formula": format_formula(f), "variables": names,
+                   "rows": [{"assignment": _assignment_json(inter, args),
+                             "value": _value_str(value, args)}
+                            for inter, value in rows]}, None
+    lines = [" ".join(names) + " | " + format_formula(f)]
+    for inter, value in rows:
+        cells = " ".join(_value_str(inter[name], args) for name in names)
+        lines.append(cells + " | " + _value_str(value, args))
+    return 0, None, "\n".join(lines)
 
 
-def cmd_conseq(args: argparse.Namespace) -> int:
+def cmd_conseq(args: argparse.Namespace) -> _Result:
     s = parse_sequent(args.sequent)
     verdict = is_consequence(s, args.cap)
-    if args.format == "json":
-        _emit_json({"sequent": format_sequent(s), "valid": verdict.valid,
-                    "countermodel": (None if verdict.witness is None
-                                     else _assignment_json(verdict.witness, args)),
-                    "checked": verdict.checked})
-    elif verdict.valid:
-        print("valid")
-    else:
-        assert verdict.witness is not None
-        print("invalid")
-        print("countermodel: " + _assignment_str(verdict.witness, args))
-    return 0 if verdict.valid else 1
+    record = {"sequent": format_sequent(s), "valid": verdict.valid, "countermodel": None,
+              "checked": verdict.checked}
+    if verdict.valid:
+        return 0, record, "valid"
+    record["countermodel"] = model = _assignment_json(verdict.witness, args)
+    return 1, record, "invalid\ncountermodel: " + _assignment_str(model)
 
 
-def cmd_countermodel(args: argparse.Namespace) -> int:
+def cmd_countermodel(args: argparse.Namespace) -> _Result:
     s = parse_sequent(args.sequent)
     witness = countermodel(s, args.cap)
-    if args.format == "json":
-        _emit_json({"sequent": format_sequent(s),
-                    "countermodel": (None if witness is None
-                                     else _assignment_json(witness, args))})
-    elif witness is None:
-        print("none (sequent is valid)")
-    else:
-        print(_assignment_str(witness, args))
-    return 0 if witness is None else 1
+    model = None if witness is None else _assignment_json(witness, args)
+    record = {"sequent": format_sequent(s), "countermodel": model}
+    if model is None:
+        return 0, record, "none (sequent is valid)"
+    return 1, record, _assignment_str(model)
 
 
-def cmd_check_proof(args: argparse.Namespace) -> int:
+def cmd_check_proof(args: argparse.Namespace) -> _Result:
     with open(args.file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -221,104 +207,69 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
     try:
         checked = check(derivation)
     except DerivationError as exc:
-        if args.format == "json":
-            _emit_json({"ok": False,
-                        "error": {"rule": exc.rule.value if exc.rule else None,
-                                  "path": list(exc.path),
-                                  "message": exc.message}})
-        else:
+        if args.format == "text":  # text reports a failed check on stderr only
             print(f"check failed: {exc}", file=sys.stderr)
-        return 2
+        return 2, {"ok": False, "error": {"rule": exc.rule.value if exc.rule else None,
+                                          "path": list(exc.path),
+                                          "message": exc.message}}, None
+    conclusion = format_formula(checked.conclusion)
     open_assumptions = sorted(format_formula(f) for f in checked.open_assumptions)
-    if args.format == "json":
-        _emit_json({"ok": True, "conclusion": format_formula(checked.conclusion),
-                    "open_assumptions": open_assumptions})
-    else:
-        print("ok")
-        print(f"conclusion: {format_formula(checked.conclusion)}")
-        if open_assumptions:
-            print("open assumptions: " + ", ".join(open_assumptions))
-        else:
-            print("open assumptions: (none)")
-    return 0
+    return 0, {"ok": True, "conclusion": conclusion, "open_assumptions": open_assumptions}, (
+        f"ok\nconclusion: {conclusion}\n"
+        f"open assumptions: {', '.join(open_assumptions) or '(none)'}")
 
 
-def cmd_search_proof(args: argparse.Namespace) -> int:
+def cmd_search_proof(args: argparse.Namespace) -> _Result:
     s = parse_sequent(args.sequent)
     derivation = search(s, args.depth)
-    if derivation is None:
-        try:  # within the default cap, tell an invalid sequent from a miss
-            witness = is_consequence(s).witness
-        except CapExceededError:
-            witness = None
-        if witness is not None:
-            if args.format == "json":
-                _emit_json({"found": False, "depth": args.depth,
-                            "countermodel": _assignment_json(witness, args)})
-            else:
-                print("invalid")
-                print("countermodel: " + _assignment_str(witness, args))
-            return 1
-        if args.format == "json":
-            _emit_json({"found": False, "depth": args.depth})
-        else:
-            print(f"no derivation found within depth {args.depth}")
-        return 2
-    if args.format == "json":
-        _emit_json({"found": True, "derivation": to_json_dict(derivation)})
-    else:
-        print(render_derivation(derivation))
-    return 0
+    if derivation is not None:
+        return 0, {"found": True, "derivation": to_json_dict(derivation)}, (
+            render_derivation(derivation))
+    try:  # within the default cap, tell an invalid sequent from a miss
+        witness = is_consequence(s).witness
+    except CapExceededError:
+        witness = None
+    record = {"found": False, "depth": args.depth}
+    if witness is None:
+        return 2, record, f"no derivation found within depth {args.depth}"
+    record["countermodel"] = model = _assignment_json(witness, args)
+    return 1, record, "invalid\ncountermodel: " + _assignment_str(model)
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: argparse.Namespace) -> _Result:
     entries = corpus()
-    if args.format == "json":
-        _emit_json([{"name": e.name,
-                     "sequent": format_sequent(derivation_sequent(e.derivation)),
-                     "derivation": to_json_dict(e.derivation)}
-                    for e in entries])
-    else:
-        for e in entries:
-            print(f"{e.name}: {format_sequent(derivation_sequent(e.derivation))}")
-    return 0
+    sequents = [format_sequent(derivation_sequent(e.derivation)) for e in entries]
+    record = [{"name": e.name, "sequent": s, "derivation": to_json_dict(e.derivation)}
+              for e, s in zip(entries, sequents)]
+    return 0, record, "\n".join(f"{e.name}: {s}" for e, s in zip(entries, sequents))
 
 
-def cmd_fc_verify(args: argparse.Namespace) -> int:
+def cmd_fc_verify(args: argparse.Namespace) -> _Result:
     report = verify_delta_c()
-    if args.format == "json":
-        _emit_json({"ok": report.ok,
-                    "checks": [{"term": c.term_name, "argument": c.argument.value,
-                                "expected": c.expected.value, "actual": c.actual.value,
-                                "ok": c.ok}
-                               for c in report.checks],
-                    "bool_neg_table": str(report.bool_neg_table)})
-    else:
-        for c in report.checks:
-            status = "ok" if c.ok else "FAIL"
-            print(f"{c.term_name}({c.argument}) = {c.actual}, "
-                  f"expected {c.expected}: {status}")
-        print(f"bool_neg table: {report.bool_neg_table} (derived)")
-        passed = sum(1 for c in report.checks if c.ok)
-        print(f"{passed}/{len(report.checks)} checks passed")
-    return 0 if report.ok else 2
+    lines = [f"{c.term_name}({c.argument}) = {c.actual}, "
+             f"expected {c.expected}: {'ok' if c.ok else 'FAIL'}" for c in report.checks]
+    passed = sum(1 for c in report.checks if c.ok)
+    lines += [f"bool_neg table: {report.bool_neg_table} (derived)",
+              f"{passed}/{len(report.checks)} checks passed"]
+    record = {"ok": report.ok, "bool_neg_table": str(report.bool_neg_table),
+              "checks": [{"term": c.term_name, "argument": c.argument.value,
+                          "expected": c.expected.value, "actual": c.actual.value, "ok": c.ok}
+                         for c in report.checks]}
+    return 0 if report.ok else 2, record, "\n".join(lines)
 
 
-def cmd_fc_closure(args: argparse.Namespace) -> int:
+def cmd_fc_closure(args: argparse.Namespace) -> _Result:
     result = unary_clone_closure()
     complete = result.size == 256
+    code = 0 if complete else 2
+    # sorting and formatting the 256 witness terms takes about 5 ms, which text never shows
     if args.format == "json":
         witnesses = sorted(result.witnesses.items(), key=lambda kv: str(kv[0]))
-        _emit_json({"size": result.size, "rounds": result.rounds,
-                    "complete": complete,
-                    "witnesses": [{"table": str(table),
-                                   "term": format_formula(term)}
-                                  for table, term in witnesses]})
-    else:
-        print(f"tables reached: {result.size}")
-        print(f"rounds: {result.rounds}")
-        print("complete: " + ("yes (all 256 unary functions)" if complete else "NO"))
-    return 0 if complete else 2
+        return code, {"size": result.size, "rounds": result.rounds, "complete": complete,
+                      "witnesses": [{"table": str(table), "term": format_formula(term)}
+                                    for table, term in witnesses]}, None
+    return code, None, (f"tables reached: {result.size}\nrounds: {result.rounds}\n"
+                        "complete: " + ("yes (all 256 unary functions)" if complete else "NO"))
 
 
 def _parse_fde_table(text: str) -> dict[FdeValue, FdeValue]:
@@ -346,55 +297,40 @@ def _transport_table(option_id: str, mapping: dict[FdeValue, FdeValue]) -> Unary
     return UnaryTable(tuple(inverse[mapping[option.value_map[v]]] for v in CANONICAL_ORDER))
 
 
-def cmd_fc_find(args: argparse.Namespace) -> int:
+def cmd_fc_find(args: argparse.Namespace) -> _Result:
     target = _transport_table(args.option or "O1", _parse_fde_table(args.target))
     term = format_formula(find_term_for_unary(target))
-    if args.format == "json":
-        _emit_json({"found": True, "target": str(target), "term": term})
-    else:
-        print(term)
-        print(f"table: {target}")
-    return 0
+    return 0, {"found": True, "target": str(target), "term": term}, f"{term}\ntable: {target}"
 
 
-def cmd_options_table(args: argparse.Namespace) -> int:
+def cmd_options_table(args: argparse.Namespace) -> _Result:
     ids = [args.option] if args.option else list(OPTIONS)
-    if args.format == "json":
-        _emit_json({option_id: option_table_lines(get_option(option_id))
-                    for option_id in ids})
-    else:
-        for k, option_id in enumerate(ids):
-            if len(ids) > 1:
-                if k:
-                    print()
-                print(f"option {option_id}")
-            for line in option_table_lines(get_option(option_id)):
-                print(line)
-    return 0
+    record = {option_id: option_table_lines(get_option(option_id)) for option_id in ids}
+    blocks = ["\n".join(lines) for lines in record.values()]
+    if len(ids) > 1:
+        blocks = [f"option {option_id}\n{block}" for option_id, block in zip(ids, blocks)]
+    return 0, record, "\n\n".join(blocks)
 
 
-def cmd_options_compare(args: argparse.Namespace) -> int:
+def cmd_options_compare(args: argparse.Namespace) -> _Result:
     f = parse(args.formula)
     ids = [args.option] if args.option else list(OPTIONS)
     reports = [check_option_equivalence(get_option(i), f, args.cap) for i in ids]
-    if args.format == "json":
-        _emit_json([{"option": r.option_id, "ok": r.ok, "checked": r.checked,
-                     "mismatches": [{"interpretation":
-                                     {k: v.value for k, v in m.interpretation.items()},
-                                     "via_map": str(m.via_map),
-                                     "via_clauses": str(m.via_clauses)}
-                                    for m in r.mismatches]}
-                    for r in reports])
-    else:
-        for r in reports:
-            if r.ok:
-                print(f"{r.option_id}: ok ({r.checked} interpretations)")
-            else:
-                m = r.mismatches[0]
-                where = ", ".join(f"{k}={v}" for k, v in sorted(m.interpretation.items()))
-                print(f"{r.option_id}: MISMATCH at {where}: "
-                      f"map gives {m.via_map}, clauses give {m.via_clauses}")
-    return 0 if all(r.ok for r in reports) else 2
+    lines = []
+    for r in reports:
+        if r.ok:
+            lines.append(f"{r.option_id}: ok ({r.checked} interpretations)")
+        else:
+            m = r.mismatches[0]
+            where = ", ".join(f"{k}={v}" for k, v in sorted(m.interpretation.items()))
+            lines.append(f"{r.option_id}: MISMATCH at {where}: "
+                         f"map gives {m.via_map}, clauses give {m.via_clauses}")
+    record = [{"option": r.option_id, "ok": r.ok, "checked": r.checked,
+               "mismatches": [{"interpretation": {k: v.value for k, v in m.interpretation.items()},
+                               "via_map": str(m.via_map), "via_clauses": str(m.via_clauses)}
+                              for m in r.mismatches]}
+              for r in reports]
+    return 0 if all(r.ok for r in reports) else 2, record, "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -484,7 +420,8 @@ _ERRORS: tuple[tuple[type[Exception] | str, str, int], ...] = (
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point: runs the verb, prints its result and returns the process
+    exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -493,7 +430,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         _load(*args.layers)
         _resolve_settings(args)
-        return args.func(args)
+        code, record, text = args.func(args)
+        output = json.dumps(record, indent=2, sort_keys=True) if args.format == "json" else text
     except Exception as exc:
         for kind, label, code in _ERRORS:
             if isinstance(exc, globals().get(kind, ()) if isinstance(kind, str) else kind):
@@ -502,6 +440,15 @@ def run(argv: list[str] | None = None) -> int:
         # a bug; never 1, which would claim a countermodel
         print(f"cnl4: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    try:
+        if output is not None:
+            print(output, flush=True)
+    except OSError as exc:
+        print(f"cnl4: cannot write output: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # else the flush at exit fails again and exits 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    return code
 
 
 if __name__ == "__main__":

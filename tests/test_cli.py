@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line interface.
 
 Everything goes through run(argv) in-process, where capsys collects the
-output, except the hash-seed test, which needs one interpreter per seed.
+output, except the hash-seed test, which needs one interpreter per seed,
+and the test of the interpreter's flush of stdout at exit.
 Exit code contract: 0 success/valid, 1 invalid (countermodel printed),
-2 failed check/verification, 3 usage or parse error, 4 internal error.
+2 failed check/verification, 3 usage, parse, input or output error,
+4 internal error.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -575,6 +580,51 @@ def test_unexpected_error_is_an_internal_error(capsys, monkeypatch, error) -> No
     code, out, err = invoke(capsys, "parse", "p")
     assert (code, out) == (4, "")
     assert err == f"cnl4: internal error: {type(error).__name__}: {error}\n"
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, error: OSError) -> None:
+        super().__init__()
+        self.error = error
+
+    def write(self, text: str) -> int:
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
+                                   OSError(28, "No space left on device")])
+def test_a_failed_write_is_an_output_error(capsys, monkeypatch, error) -> None:
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+    code = run(["parse", "p"])
+    assert (code, capsys.readouterr().err) == (3, f"cnl4: cannot write output: {error}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_keeps_its_exit_code_past_the_flush_at_exit() -> None:
+    # block-buffered stdout keeps the unwritten bytes, and the interpreter
+    # flushes them again at exit, which would print a second error and exit 120
+    src = str(Path(cnl4.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "cnl4.cli", "parse", "p"], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert (done.returncode, done.stderr) == (
+        3, "cnl4: cannot write output: [Errno 28] No space left on device\n")
+
+
+def test_verbs_write_to_stdout_only_through_run() -> None:
+    with open(cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    prints = [
+        (func.name, node.lineno)
+        for func in tree.body if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                    for kw in node.keywords)
+    ]
+    assert prints == []
 
 
 def test_unknown_command(capsys) -> None:
