@@ -6,8 +6,10 @@ search, the bundled derivation corpus, functional-completeness reports,
 and the option-reading tables.
 
 Each verb computes and returns ``(code, record, text)``: its exit code,
-its JSON record and its text.  ``run`` prints the one ``--format`` names,
-so a verb writes to stdout only through ``run``.
+its JSON record and its text.  ``run`` writes the one ``--format`` names,
+so a verb writes to stdout only through ``run``.  Either may be an iterator
+of rendered chunks (a truth table has 4**n rows); a verb raises any refusal
+before it returns, and ``run`` encodes any other record as a stream.
 
 Exit codes: 0 success/valid; 1 semantically invalid (a countermodel was
 found and printed); 2 check or verification failure; 3 usage, parse,
@@ -21,7 +23,8 @@ import importlib
 import json
 import os
 import sys
-from typing import NoReturn
+from itertools import chain
+from typing import Iterable, Iterator, NoReturn
 
 from .formula import (
     Formula,
@@ -37,10 +40,10 @@ from .formula import (
 #: names its layers where ``build_parser`` registers it, and ``run`` loads
 #: them before the verb runs; ``__getattr__`` loads them for a caller that
 #: reads ``cli.<name>`` first, such as a tracer that replaces the function
-#: with a wrapper.
+#: with a wrapper (``truth_table`` is bound for such callers only).
 _LAYER_NAMES = {
     "matrix": ("CANONICAL_ORDER", "DEFAULT_CAP", "CapExceededError", "UnboundVariableError",
-               "Value", "countermodel", "evaluate", "is_consequence", "truth_table"),
+               "Value", "countermodel", "evaluate", "is_consequence", "truth_rows", "truth_table"),
     "nd": ("DerivationError", "ProofFormatError", "check", "corpus", "derivation_sequent",
            "from_json_dict", "render_derivation", "search", "to_json_dict"),
     "fc": ("UnaryTable", "find_term_for_unary", "unary_clone_closure", "verify_delta_c"),
@@ -99,8 +102,10 @@ def _resolve_settings(args: argparse.Namespace) -> None:
 
 
 #: What a verb returns: its exit code, its JSON record and its text; ``run``
-#: prints the one ``--format`` names, and nothing for ``None``.
-_Result = tuple[int, object, str | None]
+#: writes the one ``--format`` names, and nothing for ``None``.
+_Result = tuple[int, object, str | Iterator[str] | None]
+
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 
 def _value_str(v: Value, args: argparse.Namespace) -> str:
@@ -159,21 +164,28 @@ def cmd_eval(args: argparse.Namespace) -> _Result:
                "value": value}, value
 
 
+def _json_rows(record: dict, rows: Iterable[dict]) -> Iterator[str]:
+    """``record`` and its "rows", encoded as ``run`` encodes a record, a row per
+    chunk in place of a placeholder row (``null`` alone on a line, which no string can be)."""
+    head, tail = _JSON.encode({**record, "rows": [None]}).split("\n    null\n")
+    yield head
+    for i, row in enumerate(rows):
+        yield (",\n    " if i else "\n    ") + _JSON.encode(row).replace("\n", "\n    ")
+    yield "\n" + tail + "\n"
+
+
 def cmd_truthtable(args: argparse.Namespace) -> _Result:
     f = parse(args.formula)
-    rows = truth_table(f, args.cap)
-    names = variables(f)
-    # either rendering has a row per interpretation (4**n), so build only the one asked for
+    rows = truth_rows(f, args.cap)  # refuses a formula over the cap before any row
+    names, text = variables(f), format_formula(f)
+    # a row per interpretation (4**n): render only the format asked for, a row at a time
     if args.format == "json":
-        return 0, {"formula": format_formula(f), "variables": names,
-                   "rows": [{"assignment": _assignment_json(inter, args),
-                             "value": _value_str(value, args)}
-                            for inter, value in rows]}, None
-    lines = [" ".join(names) + " | " + format_formula(f)]
-    for inter, value in rows:
-        cells = " ".join(_value_str(inter[name], args) for name in names)
-        lines.append(cells + " | " + _value_str(value, args))
-    return 0, None, "\n".join(lines)
+        return 0, _json_rows({"formula": text, "variables": names},
+                             ({"assignment": _assignment_json(inter, args),
+                               "value": _value_str(value, args)} for inter, value in rows)), None
+    return 0, None, chain([" ".join(names) + " | " + text + "\n"],
+                          (" ".join(_value_str(inter[name], args) for name in names)
+                           + " | " + _value_str(value, args) + "\n" for inter, value in rows))
 
 
 def cmd_conseq(args: argparse.Namespace) -> _Result:
@@ -419,8 +431,27 @@ _ERRORS: tuple[tuple[type[Exception] | str, str, int], ...] = (
 )
 
 
+def _write(output: object, as_json: bool) -> bool:
+    """Write a verb's output to stdout, flushed, and say whether that worked;
+    a closed stdout (``None``) takes nothing."""
+    if output is None or (out := sys.stdout) is None:
+        return True
+    if not isinstance(output, Iterator):
+        output = chain(_JSON.iterencode(output), "\n") if as_json else (output, "\n")
+    try:
+        for chunk in output:
+            out.write(chunk)
+        out.flush()
+    except OSError as exc:
+        print(f"cnl4: cannot write output: {exc}", file=sys.stderr)
+        if out is sys.__stdout__:  # else the flush at exit fails again and exits 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return False
+    return True
+
+
 def run(argv: list[str] | None = None) -> int:
-    """Entry point: runs the verb, prints its result and returns the process
+    """Entry point: runs the verb, writes its result and returns the process
     exit code."""
     parser = build_parser()
     try:
@@ -431,7 +462,8 @@ def run(argv: list[str] | None = None) -> int:
         _load(*args.layers)
         _resolve_settings(args)
         code, record, text = args.func(args)
-        output = json.dumps(record, indent=2, sort_keys=True) if args.format == "json" else text
+        if not _write(record if args.format == "json" else text, args.format == "json"):
+            return 3
     except Exception as exc:
         for kind, label, code in _ERRORS:
             if isinstance(exc, globals().get(kind, ()) if isinstance(kind, str) else kind):
@@ -440,14 +472,6 @@ def run(argv: list[str] | None = None) -> int:
         # a bug; never 1, which would claim a countermodel
         print(f"cnl4: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    try:
-        if output is not None:
-            print(output, flush=True)
-    except OSError as exc:
-        print(f"cnl4: cannot write output: {exc}", file=sys.stderr)
-        if sys.stdout is sys.__stdout__:  # else the flush at exit fails again and exits 120
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 3
     return code
 
 

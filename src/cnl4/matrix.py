@@ -15,7 +15,7 @@ evaluation loop run on that clause set by :func:`connective_tables`.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import Clauses, Program
@@ -177,20 +177,26 @@ def compile_within_cap(formulas: Sequence[Formula], cap: int) -> Program:
 _VALUE_OF_BITS = {(str(int(has1)), str(int(has0))): v for v, (has1, has0) in BITS.items()}
 
 
+def truth_rows(f: Formula, cap: int = DEFAULT_CAP) -> Iterator[tuple[dict[str, Value], Value]]:
+    """:func:`truth_table`'s rows as an iterator that decodes a block of at
+    most ``4 ** engine.BLOCK_VARS`` values at a time.  ``f`` is compiled at
+    the call, so :class:`CapExceededError` is raised here, before any row."""
+    program = compile_within_cap([f], cap)
+    width = program.block_size
+    # bit k of a plane is character k of the reversed binary string
+    blocks = (map(_VALUE_OF_BITS.get, zip(f"{p1:0{width}b}"[::-1], f"{p0:0{width}b}"[::-1]))
+              for _, [(p1, p0)] in program.blocks(_CANONICAL_CLAUSES))
+    return zip(interpretations(program.names), chain.from_iterable(blocks))
+
+
 def truth_table(f: Formula, cap: int = DEFAULT_CAP) -> list[tuple[dict[str, Value], Value]]:
     """All rows ``(interpretation, value)`` for ``f``.
 
     Variables appear in first-occurrence order and rows cycle through
-    ``CANONICAL_ORDER``, rightmost variable fastest.  Values are computed
-    a block of interpretations at a time.
+    ``CANONICAL_ORDER``, rightmost variable fastest.  The list holds all
+    ``4 ** n`` rows; :func:`truth_rows` streams them.
     """
-    program = compile_within_cap([f], cap)
-    width = program.block_size
-    values: list[Value] = []
-    for _, [(p1, p0)] in program.blocks(_CANONICAL_CLAUSES):
-        # bit k of a plane is character k of the reversed binary string
-        values += map(_VALUE_OF_BITS.get, zip(f"{p1:0{width}b}"[::-1], f"{p0:0{width}b}"[::-1]))
-    return list(zip(interpretations(program.names), values))
+    return list(truth_rows(f, cap))
 
 
 class Verdict(NamedTuple):

@@ -16,11 +16,14 @@ The reference compile is the ``isinstance`` walk that ``engine.Program``
 replaced with a dispatch on the node's type; their DAGs must be equal.
 The reference search checks the sequent against the matrix before it
 searches; ``nd.search``, which checks at its first case split, must find
-the same derivation.
+the same derivation.  The reference truth-table output renders the whole
+table at once, as ``cnl4 truthtable`` did before it streamed its rows; the
+CLI's stdout must equal it byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from itertools import count, product
@@ -55,6 +58,7 @@ from cnl4.matrix import (
     Value,
     interpretations,
     is_consequence,
+    truth_table,
 )
 from cnl4.nd import (
     DISCHARGING_RULES,
@@ -87,6 +91,7 @@ from cnl4.relational import (
     Preservation,
     TruthSet,
     correspond,
+    get_option,
 )
 
 DEFAULT_ATOMS = ("p", "q", "r")
@@ -819,3 +824,22 @@ def is_unary_reducible(f: BinaryTable, tables=None) -> bool:
         if all(f.apply(a, b) == g.apply(b) for a in values for b in values):
             return True
     return False
+
+
+def reference_truthtable_output(f: Formula, json_out: bool, option: str | None = None) -> str:
+    """Stdout of ``cnl4 truthtable`` on ``f`` rendered from the whole
+    ``truth_table``: its lines joined, or its record as one ``json.dumps``.
+    With ``option``, values print as that option's t/b/n/f (``--fde``)."""
+    def name(v: Value) -> str:
+        return v.value if option is None else get_option(option).value_map[v].value
+
+    names, text, rows = variables(f), format_formula(f), truth_table(f)
+    if json_out:
+        return json.dumps({"formula": text, "variables": names,
+                           "rows": [{"assignment": {k: name(v) for k, v in inter.items()},
+                                     "value": name(value)} for inter, value in rows]},
+                          indent=2, sort_keys=True) + "\n"
+    lines = [" ".join(names) + " | " + text]
+    lines += [" ".join(name(inter[k]) for k in names) + " | " + name(value)
+              for inter, value in rows]
+    return "\n".join(lines) + "\n"

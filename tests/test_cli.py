@@ -11,19 +11,22 @@ Exit code contract: 0 success/valid, 1 invalid (countermodel printed),
 from __future__ import annotations
 
 import ast
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import cnl4
 from cnl4 import cli
 from cnl4.cli import run
-from cnl4.formula import MAX_DEPTH
+from cnl4.formula import MAX_DEPTH, format_formula
 from cnl4.nd import (
     MAX_PROOF_DEPTH,
     MAX_SEARCH_DEPTH,
@@ -32,7 +35,12 @@ from cnl4.nd import (
     from_json_dict,
     to_json_dict,
 )
-from helpers import and_elim_chain, deep_formula_texts
+from helpers import (
+    and_elim_chain,
+    deep_formula_texts,
+    formula_strategy,
+    reference_truthtable_output,
+)
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -164,6 +172,37 @@ def test_truthtable_json(capsys) -> None:
         "assignment": {"p": "1", "q": "1"},
         "value": "1",
     }
+
+
+@pytest.mark.parametrize("option", [None, "O1", "O2", "O3", "O4"])
+@pytest.mark.parametrize("json_out", [False, True], ids=["text", "json"])
+@settings(max_examples=25, deadline=None)
+@given(f=formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=8))
+def test_truthtable_streams_the_bytes_of_the_whole_table(json_out, option, f) -> None:
+    argv = ["truthtable", format_formula(f)] + (["--format", "json"] if json_out else [])
+    argv += [] if option is None else ["--fde", "--option", option]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        0, reference_truthtable_output(f, json_out, option), "")
+
+
+@pytest.mark.parametrize("output", [[], ["--format", "json"]], ids=["text", "json"])
+def test_truthtable_memory_stays_at_a_block(monkeypatch, output) -> None:
+    # 4**7 rows: building them all first peaked at 7 MB (text) and 37 MB (json)
+    conjunction = " & ".join(f"x{k}" for k in range(7))
+    with open(os.devnull, "w") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        assert run(["truthtable", "p"] + output) == 0  # loads the layers first
+        tracemalloc.start()
+        try:
+            code = run(["truthtable", conjunction] + output)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +622,30 @@ def test_unexpected_error_is_an_internal_error(capsys, monkeypatch, error) -> No
 
 
 class _FailingStdout(io.StringIO):
-    def __init__(self, error: OSError) -> None:
+    """Takes ``writes`` writes, then raises ``error`` on every one."""
+
+    def __init__(self, error: OSError, writes: int = 0) -> None:
         super().__init__()
         self.error = error
+        self.writes = writes
 
     def write(self, text: str) -> int:
-        raise self.error
+        if self.writes == 0:
+            raise self.error
+        self.writes -= 1
+        return super().write(text)
 
 
+@pytest.mark.parametrize("argv, writes", [
+    (["parse", "p"], 0),
+    (["truthtable", "a & b & c & d"], 1),  # fails part-way through the rows
+    (["truthtable", "a & b & c & d", "--format", "json"], 1),
+], ids=["parse", "truthtable", "truthtable-json"])
 @pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"),
                                    OSError(28, "No space left on device")])
-def test_a_failed_write_is_an_output_error(capsys, monkeypatch, error) -> None:
-    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
-    code = run(["parse", "p"])
+def test_a_failed_write_is_an_output_error(capsys, monkeypatch, error, argv, writes) -> None:
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error, writes))
+    code = run(argv)
     assert (code, capsys.readouterr().err) == (3, f"cnl4: cannot write output: {error}\n")
 
 
