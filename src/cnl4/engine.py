@@ -71,10 +71,9 @@ class Program:
     """
 
     def __init__(self, formulas: Sequence[Formula]) -> None:
-        index: dict[tuple[int, int, int], int] = {}
         nodes: list[tuple[int, int, int]] = []
         variables: dict[str, int] = {}
-        node_of: dict[int, int] = {}  # id of a formula object -> its node
+        memo: dict = {}  # id of a formula object, or (op, child, child) key -> node
         for root in formulas:
             stack = [root]
             while stack:
@@ -82,8 +81,8 @@ class Program:
                 if f is _CHILDREN_DONE:
                     f = stack.pop()
                     op = _OP_OF_TYPE[type(f)]
-                    key = (op, node_of[id(f[1])], 0 if op == _NEG else node_of[id(f[2])])
-                elif id(f) in node_of:
+                    key = (op, memo[id(f[1])], 0 if op == _NEG else memo[id(f[2])])
+                elif id(f) in memo:
                     continue
                 else:
                     op = _OP_OF_TYPE.get(type(f))
@@ -95,12 +94,12 @@ class Program:
                         stack += (f, _CHILDREN_DONE, *f[:0:-1])
                         continue
                     key = (_ATOM, variables.setdefault(f[1], len(variables)), 0)
-                node = index.setdefault(key, len(nodes))
+                node = memo.setdefault(key, len(nodes))
                 if node == len(nodes):
                     nodes.append(key)
-                node_of[id(f)] = node
+                memo[id(f)] = node
         self.nodes = nodes
-        self.roots = [node_of[id(root)] for root in formulas]
+        self.roots = [memo[id(root)] for root in formulas]
         self.names = list(variables)
         self.block_size = 4 ** min(len(self.names), BLOCK_VARS)
 

@@ -12,14 +12,15 @@ Negation binds tighter than conjunction, which binds tighter than
 disjunction; the binary connectives associate to the left.  Sequents are
 written ``P1, P2 |- C``; the premise list may be empty (``|- C``).
 Formulas nested deeper than :data:`MAX_DEPTH`, or with more parentheses
-open at once, are refused.  The parser keeps an explicit frame stack and
-does not recurse; printing, hashing and comparing formulas still recurse.
+open at once, are refused.  The parser, :func:`subformulas`, :func:`variables`
+and :func:`size` keep explicit stacks and do not recurse; printing,
+:func:`substitute`, hashing and comparing formulas still recurse.
 
 Equal subformulas of one parse are one object, and so are those of calls
 given the same ``nodes`` dict (``nd.from_json_dict`` passes one per proof
 tree), so comparing them takes tuple comparison's identity short-cut.
-There is no module-level table: equality (tuple comparison, in C) and
-hashing stay structural.
+There is no module-level table of formulas: equality (tuple comparison,
+in C) and hashing stay structural.
 
 The printer emits minimal parentheses and round-trips exactly:
 ``parse(format_formula(f)) == f`` for every formula ``f``.
@@ -293,41 +294,30 @@ def parse_sequent(text: str) -> Sequent:
 # --------------------------------------------------------------------------
 # Printer
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NEG = 3
-_PREC_ATOM = 4
+#: How tightly each connective binds; a child bound less tightly than its
+#: position asks for is printed in parentheses.
+_BINDING = {Or: 1, And: 2, Neg: 3, Atom: 4}
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def _fmt(f: Formula, min_prec: int) -> str:
-    if _prec(f) < min_prec:
-        return "(" + _fmt(f, _PREC_OR) + ")"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Neg):
-        return "~" + _fmt(f.body, _PREC_NEG)
-    if isinstance(f, And):
-        # a same-precedence right child needs parentheses to keep the
-        # left association visible on re-parse
-        return _fmt(f.left, _PREC_AND) + " & " + _fmt(f.right, _PREC_AND + 1)
-    if isinstance(f, Or):
-        return _fmt(f.left, _PREC_OR) + " | " + _fmt(f.right, _PREC_OR + 1)
-    raise TypeError(f"not a formula: {f!r}")
+def _fmt(f: Formula, min_binding: int) -> str:
+    cls = type(f)
+    binding = _BINDING.get(cls)
+    if binding is None:
+        raise TypeError(f"not a formula: {f!r}")
+    if binding < min_binding:
+        return "(" + _fmt(f, 0) + ")"
+    if cls is Atom:
+        return f[1]
+    if cls is Neg:
+        return "~" + _fmt(f[1], binding)
+    # a same-binding right child needs parentheses to keep the left
+    # association visible on re-parse
+    return _fmt(f[1], binding) + (" & " if cls is And else " | ") + _fmt(f[2], binding + 1)
 
 
 def format_formula(f: Formula) -> str:
     """Render ``f`` with minimal parentheses."""
-    return _fmt(f, _PREC_OR)
+    return _fmt(f, 0)
 
 
 def format_sequent(s: Sequent) -> str:
@@ -342,44 +332,34 @@ def format_sequent(s: Sequent) -> str:
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Yield ``f`` and all its subformulas, preorder, left before right."""
-    yield f
-    if isinstance(f, Neg):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if type(g) in (Neg, And, Or):
+            stack += g[:0:-1]  # the children, right first, so left pops first
 
 
 def variables(f: Formula) -> list[str]:
     """Atom names in order of first occurrence (left to right)."""
-    seen: dict[str, None] = {}
-    for sub in subformulas(f):
-        if isinstance(sub, Atom):
-            seen.setdefault(sub.name)
-    return list(seen)
+    return list(dict.fromkeys(g[1] for g in subformulas(f) if type(g) is Atom))
 
 
 def sequent_variables(s: Sequent) -> list[str]:
     """First-occurrence variable order across premises, then conclusion."""
-    seen: dict[str, None] = {}
-    for f in (*s.premises, s.conclusion):
-        for name in variables(f):
-            seen.setdefault(name)
-    return list(seen)
+    return list(dict.fromkeys(name for f in (*s.premises, s.conclusion)
+                              for name in variables(f)))
 
 
 def substitute(f: Formula, name: str, replacement: Formula) -> Formula:
     """Replace every atom called ``name`` in ``f`` by ``replacement``."""
-    if isinstance(f, Atom):
-        return replacement if f.name == name else f
-    if isinstance(f, Neg):
-        return Neg(substitute(f.body, name, replacement))
-    if isinstance(f, And):
-        return And(substitute(f.left, name, replacement),
-                   substitute(f.right, name, replacement))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, name, replacement),
-                  substitute(f.right, name, replacement))
+    cls = type(f)
+    if cls is Atom:
+        return replacement if f[1] == name else f
+    if cls is Neg:
+        return Neg(substitute(f[1], name, replacement))
+    if cls is And or cls is Or:
+        return cls(substitute(f[1], name, replacement), substitute(f[2], name, replacement))
     raise TypeError(f"not a formula: {f!r}")
 
 

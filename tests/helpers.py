@@ -14,6 +14,11 @@ proof checker that copied every open-assumption map and compared rebuilt
 formulas; ``nd.check`` must agree with it, results and errors alike.
 The reference compile is the ``isinstance`` walk that ``engine.Program``
 replaced with a dispatch on the node's type; their DAGs must be equal.
+The reference printer, substitution and subformula walk are the
+``isinstance`` recursions that ``formula`` replaced with a dispatch on the
+node's class and position (and an explicit stack for the walk); they must
+agree with it exactly, down to the identity of the atoms a substitution
+keeps.
 The reference search checks the sequent against the matrix before it
 searches; ``nd.search``, which checks at its first case split, must find
 the same derivation.  The reference truth-table output renders the whole
@@ -700,6 +705,75 @@ def reference_program(formulas) -> tuple[list, list, list]:
                 nodes.append(key)
             node_of[id(f)] = node
     return nodes, [node_of[id(root)] for root in formulas], list(variables)
+
+
+_REF_PREC_OR, _REF_PREC_AND, _REF_PREC_NEG, _REF_PREC_ATOM = 1, 2, 3, 4
+
+
+def _reference_prec(f: Formula) -> int:
+    if isinstance(f, Or):
+        return _REF_PREC_OR
+    if isinstance(f, And):
+        return _REF_PREC_AND
+    if isinstance(f, Neg):
+        return _REF_PREC_NEG
+    return _REF_PREC_ATOM
+
+
+def _reference_fmt(f: Formula, min_prec: int) -> str:
+    if _reference_prec(f) < min_prec:
+        return "(" + _reference_fmt(f, _REF_PREC_OR) + ")"
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Neg):
+        return "~" + _reference_fmt(f.body, _REF_PREC_NEG)
+    if isinstance(f, And):
+        return (_reference_fmt(f.left, _REF_PREC_AND) + " & "
+                + _reference_fmt(f.right, _REF_PREC_AND + 1))
+    if isinstance(f, Or):
+        return (_reference_fmt(f.left, _REF_PREC_OR) + " | "
+                + _reference_fmt(f.right, _REF_PREC_OR + 1))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_format_formula(f: Formula) -> str:
+    """``format_formula(f)`` by a recursion that tests each node with
+    ``isinstance`` and reads its children by field name."""
+    return _reference_fmt(f, _REF_PREC_OR)
+
+
+def reference_substitute(f: Formula, name: str, replacement: Formula) -> Formula:
+    """``substitute(f, name, replacement)`` by an ``isinstance`` recursion."""
+    if isinstance(f, Atom):
+        return replacement if f.name == name else f
+    if isinstance(f, Neg):
+        return Neg(reference_substitute(f.body, name, replacement))
+    if isinstance(f, And):
+        return And(reference_substitute(f.left, name, replacement),
+                   reference_substitute(f.right, name, replacement))
+    if isinstance(f, Or):
+        return Or(reference_substitute(f.left, name, replacement),
+                  reference_substitute(f.right, name, replacement))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_subformulas(f: Formula):
+    """``subformulas(f)`` by recursive generators: preorder, left first."""
+    yield f
+    if isinstance(f, Neg):
+        yield from reference_subformulas(f.body)
+    elif isinstance(f, (And, Or)):
+        yield from reference_subformulas(f.left)
+        yield from reference_subformulas(f.right)
+
+
+def reference_variables(f: Formula) -> list[str]:
+    """Atom names of :func:`reference_subformulas`, first occurrences only."""
+    seen: dict[str, None] = {}
+    for sub in reference_subformulas(f):
+        if isinstance(sub, Atom):
+            seen.setdefault(sub.name)
+    return list(seen)
 
 
 def reference_rel_eval(option: OptionReading, f: Formula, assignment) -> TruthSet:

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 import cnl4
 from cnl4 import cli
 from cnl4.cli import run
-from cnl4.formula import MAX_DEPTH, format_formula
+from cnl4.formula import MAX_DEPTH, format_formula, parse
 from cnl4.nd import (
     MAX_PROOF_DEPTH,
     MAX_SEARCH_DEPTH,
@@ -35,10 +35,12 @@ from cnl4.nd import (
     from_json_dict,
     to_json_dict,
 )
+from cnl4.relational import OPTIONS, FalsityStyle
 from helpers import (
     and_elim_chain,
     deep_formula_texts,
     formula_strategy,
+    reference_mismatches,
     reference_truthtable_output,
 )
 
@@ -604,6 +606,27 @@ def test_options_compare_single_option(capsys) -> None:
     )
     assert code == 0
     assert out == "O2: ok (4 interpretations)\n"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_options_compare_reports_a_mismatch(capsys, monkeypatch, output) -> None:
+    # no bundled option mismatches, so O2 is given the other falsity style
+    cli._load("relational")
+    broken = OPTIONS["O2"]._replace(falsity_style=FalsityStyle.BOTH)
+    monkeypatch.setattr(cli, "get_option", lambda option_id: broken)
+    code, out, _ = invoke(capsys, "options", "compare", "p & q", "--option", "O2",
+                          "--format", output)
+    assert code == 2
+    if output == "text":
+        assert out.splitlines()[0] == ("O2: MISMATCH at p=1, q=j: "
+                                       "map gives {1,0}, clauses give {1}")
+        return
+    [record] = json.loads(out)
+    assert (record["option"], record["ok"], record["checked"]) == ("O2", False, 16)
+    assert record["mismatches"] == [
+        {"interpretation": {k: v.value for k, v in m.interpretation.items()},
+         "via_map": str(m.via_map), "via_clauses": str(m.via_clauses)}
+        for m in reference_mismatches(broken, parse("p & q"))]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnl4
+from cnl4.fc import BOOLEAN_NEG, DEFINING_TERMS, unary_clone_closure
 from cnl4.formula import (
     MAX_DEPTH,
     And,
@@ -34,8 +35,12 @@ from cnl4.formula import (
 from helpers import (
     deep_formula_texts,
     formula_strategy,
+    reference_format_formula,
     reference_parse,
     reference_parse_sequent,
+    reference_subformulas,
+    reference_substitute,
+    reference_variables,
 )
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -215,6 +220,85 @@ def test_substitute() -> None:
     assert replaced == parse("(p | q) & ~(p | q)")
     # Untouched variables stay put.
     assert substitute(template, "y", P) == template
+
+
+@given(formula_strategy(), formula_strategy())
+def test_str_is_the_printer(f, g) -> None:
+    assert str(f) == format_formula(f)
+    for s in (Sequent((f, g), g), Sequent((), f)):
+        assert str(s) == format_sequent(s)
+
+
+# ---------------------------------------------------------------------------
+# The walks against the reference walks
+
+def assert_walks_agree(f, name: str, replacement) -> None:
+    """Every walk of ``f`` gives what its ``isinstance`` recursion gives;
+    items and kept atoms are the very objects, not equal copies."""
+    assert format_formula(f) == reference_format_formula(f)
+    walk, reference = list(subformulas(f)), list(reference_subformulas(f))
+    assert len(walk) == len(reference) == size(f)
+    assert all(a is b for a, b in zip(walk, reference))
+    assert variables(f) == reference_variables(f)
+    s = Sequent((f, replacement), f)
+    assert sequent_variables(s) == list(dict.fromkeys(
+        [*reference_variables(f), *reference_variables(replacement)]))
+    replaced = substitute(f, name, replacement)
+    expected = reference_substitute(f, name, replacement)
+    assert replaced == expected
+    pairs = zip(reference_subformulas(replaced), reference_subformulas(expected))
+    assert all(a is b for a, b in pairs if isinstance(a, Atom))
+
+
+@given(formula_strategy(), st.sampled_from(("p", "q", "r", "s")),
+       formula_strategy(atoms=("q", "s"), max_leaves=4))
+def test_walks_agree_with_the_reference_walks(f, name: str, replacement) -> None:
+    assert_walks_agree(f, name, replacement)
+
+
+def test_walks_agree_with_the_reference_walks_on_the_fc_terms() -> None:
+    witnesses = list(unary_clone_closure().witnesses.values())
+    assert len(witnesses) == 256
+    for f in (*witnesses, *DEFINING_TERMS.values()):
+        assert_walks_agree(f, "x", BOOLEAN_NEG)
+        assert_walks_agree(f, "y", P)
+
+
+@pytest.mark.parametrize("bad", ["p", 3, None, ("p",), And(P, "q"), Neg(Or(P, 7))],
+                         ids=repr)
+def test_walks_of_a_non_formula_match_the_reference_walks(bad) -> None:
+    for walk, reference in ((format_formula, reference_format_formula),
+                            (lambda f: substitute(f, "p", Q),
+                             lambda f: reference_substitute(f, "p", Q))):
+        with pytest.raises(TypeError) as reference_error:
+            reference(bad)
+        with pytest.raises(TypeError) as error:
+            walk(bad)
+        assert str(error.value) == str(reference_error.value)
+    assert list(subformulas(bad)) == list(reference_subformulas(bad))
+
+
+def test_walks_of_deep_built_formulas_do_not_recurse() -> None:
+    # built in code, so the parser's depth bound does not apply; ==, hash
+    # and the printer still recurse, so only identities and names are checked
+    atoms = [Atom(f"x{i}") for i in range(5001)]
+    conjunctions = [atoms[0]]
+    for atom in atoms[1:]:
+        conjunctions.append(And(conjunctions[-1], atom))
+    negations = [Atom("q")]
+    for _ in range(5000):
+        negations.append(Neg(negations[-1]))
+    conj, neg = conjunctions[-1], negations[-1]
+    names = [atom.name for atom in atoms]
+    assert size(conj) == 10001
+    assert variables(conj) == names
+    assert sequent_variables(Sequent((neg, conj), conj)) == ["q", *names]
+    walk = list(subformulas(neg))
+    assert len(walk) == 5001
+    assert all(a is b for a, b in zip(walk, reversed(negations)))
+    walk = list(subformulas(conj))
+    assert len(walk) == 10001
+    assert all(a is b for a, b in zip(walk, [*reversed(conjunctions[1:]), *atoms]))
 
 
 @given(formula_strategy(max_leaves=64))
