@@ -3,7 +3,8 @@ with designated {1, i}, natural deduction with hypothesis discharge,
 relational option readings, and functional-completeness verification.
 
 ``import cnl4`` loads no layer: each public name, and each submodule,
-is imported on first use (PEP 562) and then kept in this namespace.
+is imported on first use (PEP 562) and then kept in this namespace;
+reading one public name binds every public name of its module.
 """
 
 import importlib
@@ -37,18 +38,38 @@ _EXPORTS = {
         "slupecki_check", "unary_clone_closure", "verify_delta_c"),
 }
 _SUBMODULES = (*_EXPORTS, "engine")
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_MODULE_OF)
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def _bind(namespace: dict, layer: str, names: tuple[str, ...]) -> None:
+    """Import ``cnl4.<layer>`` and bind ``names`` from it in ``namespace``,
+    keeping any name already bound (a wrapper installed over it stays)."""
+    # __import__, unlike importlib.import_module, is listed by -X importtime
+    module = getattr(__import__(f"{__name__}.{layer}"), layer)
+    for name in names:
+        namespace.setdefault(name, getattr(module, name))
+
+
+def _lazy_getattr(namespace: dict, layers: dict[str, tuple[str, ...]]):
+    """A module ``__getattr__`` (PEP 562) that binds all of a layer's
+    ``names`` in ``namespace`` when one of them is first read."""
+    def __getattr__(name: str) -> object:
+        for layer, names in layers.items():
+            if name in names:
+                _bind(namespace, layer, names)
+                return namespace[name]
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    return __getattr__
+
+
+_export = _lazy_getattr(globals(), _EXPORTS)
 
 
 def __getattr__(name: str) -> object:
     if name in _SUBMODULES:  # importing a submodule binds it here
         return importlib.import_module(f".{name}", __name__)
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(__getattr__(_MODULE_OF[name]), name)
-    return value
+    return _export(name)
 
 
 def __dir__() -> list[str]:

@@ -19,13 +19,13 @@ input or output error; 4 internal error (a bug, reported in one line).
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
 from itertools import chain
 from typing import Iterable, Iterator, NoReturn
 
+from . import _bind, _lazy_getattr
 from .formula import (
     Formula,
     ParseError,
@@ -53,20 +53,12 @@ _LAYER_NAMES = {
 
 
 def _load(*layers: str) -> None:
-    """Import each layer and bind its names here, keeping any name already
-    bound (a wrapper installed over it stays in place)."""
+    """Import each layer and bind its names here (see :func:`cnl4._bind`)."""
     for layer in layers:
-        module = importlib.import_module(f".{layer}", __package__)
-        for name in _LAYER_NAMES[layer]:
-            globals().setdefault(name, getattr(module, name))
+        _bind(globals(), layer, _LAYER_NAMES[layer])
 
 
-def __getattr__(name: str) -> object:
-    for layer, names in _LAYER_NAMES.items():
-        if name in names:
-            _load(layer)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _lazy_getattr(globals(), _LAYER_NAMES)
 
 
 class UsageError(Exception):
@@ -237,6 +229,7 @@ def cmd_search_proof(args: argparse.Namespace) -> _Result:
     if derivation is not None:
         return 0, {"found": True, "derivation": to_json_dict(derivation)}, (
             render_derivation(derivation))
+    _load("matrix")  # search loads matrix only if it reached a case split
     try:  # within the default cap, tell an invalid sequent from a miss
         witness = is_consequence(s).witness
     except CapExceededError:
@@ -392,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof,
          ("nd",), [fmt], "file")
     p = verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
-             ("matrix", "nd"), [depth, fmt], "sequent")
+             ("nd",), [depth, fmt], "sequent")
     p.set_defaults(fde=False)  # an invalid sequent's countermodel prints matrix values
     verb(sub, "corpus", "list the bundled derivations", cmd_corpus, ("nd",), [fmt])
 

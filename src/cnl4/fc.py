@@ -22,8 +22,9 @@ from __future__ import annotations
 import functools
 from typing import Mapping, NamedTuple
 
-from .formula import And, Atom, Formula, Neg, Or, format_formula, parse, substitute, variables
-from .matrix import AND, BITS, CANONICAL_ORDER, NEG, OR, Value, truth_table
+from .engine import Program
+from .formula import And, Atom, Formula, Neg, Or, format_formula, parse, substitute
+from .matrix import AND, BITS, CANONICAL_ORDER, NEG, OR, Value, program_rows
 
 _INDEX = {v: k for k, v in enumerate(CANONICAL_ORDER)}
 
@@ -116,11 +117,12 @@ _CONSTANT_VALUE = {"C_1": Value.V1, "C_i": Value.VI,
 
 def fn_of_unary_term(t: Formula) -> UnaryTable:
     """Tabulate a term in the single reserved variable ``x``."""
-    extra = set(variables(t)) - {"x"}
+    program = Program([t])  # visits shared subterms once, unlike formula.variables
+    extra = set(program.names) - {"x"}
     if extra:
         raise ReservedVariableError(
             f"unary terms may mention only 'x'; found {', '.join(sorted(extra))}")
-    return UnaryTable(tuple(value for _, value in truth_table(t)))
+    return UnaryTable(tuple(value for _, value in program_rows(program)))
 
 
 def indicator_table(a: Value) -> UnaryTable:

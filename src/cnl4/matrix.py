@@ -181,7 +181,11 @@ def truth_rows(f: Formula, cap: int = DEFAULT_CAP) -> Iterator[tuple[dict[str, V
     """:func:`truth_table`'s rows as an iterator that decodes a block of at
     most ``4 ** engine.BLOCK_VARS`` values at a time.  ``f`` is compiled at
     the call, so :class:`CapExceededError` is raised here, before any row."""
-    program = compile_within_cap([f], cap)
+    return program_rows(compile_within_cap([f], cap))
+
+
+def program_rows(program: Program) -> Iterator[tuple[dict[str, Value], Value]]:
+    """:func:`truth_rows` of the one formula ``program`` compiles."""
     width = program.block_size
     # bit k of a plane is character k of the reversed binary string
     blocks = (map(_VALUE_OF_BITS.get, zip(f"{p1:0{width}b}"[::-1], f"{p0:0{width}b}"[::-1]))

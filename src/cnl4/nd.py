@@ -11,6 +11,10 @@ Derivations are finite trees.  ``Hyp`` leaves carry a label; ``OrE`` and
 and third premises may discharge.  ``check`` validates every node's
 schema and the discharge discipline and returns the open assumptions
 together with the conclusion.
+
+Checking, loading, the corpus and rendering are syntax alone, so this
+module loads ``matrix`` only when it first decides a sequent: at a
+search's first case split and in :func:`soundness_check`.
 """
 
 from __future__ import annotations
@@ -19,10 +23,16 @@ import itertools
 from enum import Enum
 from typing import NamedTuple
 
+from . import _bind, _lazy_getattr
 from .formula import And, Atom, Formula, Neg, Or, Sequent, format_formula, parse
-from .matrix import DEFAULT_CAP, CapExceededError, is_consequence
 
 DEFAULT_DEPTH = 6
+
+#: The names this module takes from ``matrix``, bound when it first decides
+#: a sequent, or when a caller first reads ``nd.<name>`` (a tracer that
+#: replaces ``is_consequence`` with a wrapper does).
+_MATRIX_NAMES = ("DEFAULT_CAP", "CapExceededError", "is_consequence")
+__getattr__ = _lazy_getattr(globals(), {"matrix": _MATRIX_NAMES})
 
 #: Most nodes on a path from the root of a proof file.  Reading, loading
 #: and checking recurse per level.  Under pytest with 150 extra frames on
@@ -36,8 +46,9 @@ MAX_PROOF_DEPTH = 100
 #: splits a disjunction at every level and compares formulas at
 #: :data:`~cnl4.formula.MAX_DEPTH` completes at depth 608 and overflows at
 #: 610.  A search whose first case split, and so its matrix check, sits
-#: 199 levels down completes at depth 200 with 750 extra frames and
-#: overflows with 760 (Python 3.11).
+#: 199 levels down completes at depth 200 in a fresh interpreter, where
+#: that check first imports ``matrix``, with 770 extra frames and overflows
+#: with 771; with ``matrix`` already loaded, 790 and 791 (Python 3.11).
 MAX_SEARCH_DEPTH = 200
 
 
@@ -385,10 +396,12 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
     return _merge(rule, results)
 
 
-def soundness_check(d: Derivation, cap: int = DEFAULT_CAP) -> bool:
-    """True iff ``d`` checks and its sequent is matrix-valid."""
+def soundness_check(d: Derivation, cap: int | None = None) -> bool:
+    """True iff ``d`` checks and its sequent is matrix-valid (``cap``
+    defaults to ``matrix.DEFAULT_CAP``)."""
+    _bind(globals(), "matrix", _MATRIX_NAMES)
     try:
-        return is_consequence(derivation_sequent(d), cap).valid
+        return is_consequence(derivation_sequent(d), DEFAULT_CAP if cap is None else cap).valid
     except DerivationError:
         return False
 
@@ -437,6 +450,7 @@ class _Search:
 
     def may_split(self) -> bool:
         if self.valid is None:
+            _bind(globals(), "matrix", _MATRIX_NAMES)
             try:
                 self.valid = is_consequence(self.sequent).valid
             except CapExceededError:

@@ -92,6 +92,13 @@ def test_fn_of_unary_term_rejects_other_variables() -> None:
         fn_of_unary_term(parse("p"))
 
 
+def test_fn_of_unary_term_refuses_other_atoms_before_the_cap() -> None:
+    # eleven atoms exceed matrix.DEFAULT_CAP; the reserved-variable refusal comes first
+    term = parse(" & ".join(["x"] + [f"y{i}" for i in range(10)]))
+    with pytest.raises(ReservedVariableError, match="y0, y1, y2"):
+        fn_of_unary_term(term)
+
+
 # ---------------------------------------------------------------------------
 # The negation macro and the defining terms
 

@@ -1,11 +1,15 @@
-"""Which layers ``import cnl4`` and each CLI verb load, and what they keep.
+"""Which layers ``import cnl4``, each CLI verb and the proof layer load,
+and what they keep.
 
 ``cnl4`` imports a layer when one of its names is first read, and the CLI
 imports ``matrix``, ``nd``, ``fc`` and ``relational`` only for the verbs
-that use them.  Module loading is checked in fresh interpreters, one per
-case, with no bytecode written.  The public surface and the names the
-benchmark tracer wraps on ``cnl4.cli`` must resolve as they did with
-eager imports.
+that use them.  ``nd`` imports ``matrix`` only when it first decides a
+sequent: at a search's first case split and in ``soundness_check``, so
+``check-proof``, ``corpus`` and a search that never splits load no
+semantics, and ``search-proof`` loads it at a split or for a miss.
+Module loading is checked in fresh interpreters, one per case, with no
+bytecode written.  The public surface and every name the benchmark tracer
+wraps must resolve as they did with eager imports.
 """
 
 from __future__ import annotations
@@ -79,17 +83,19 @@ def test_import_cnl4_loads_no_layer() -> None:
     (["parse", "p & q"], set()),
     (["conseq", "p, q |- p & q"], MATRIX),
     (["truthtable", "p | ~p"], MATRIX),
-    (["check-proof", "{proof}"], MATRIX | {"cnl4.nd"}),
-    (["search-proof", "p & q |- q & p"], MATRIX | {"cnl4.nd"}),
+    (["check-proof", "{proof}"], {"cnl4.nd"}),
+    (["search-proof", "p & q |- q & p"], {"cnl4.nd"}),
     (["fc", "verify"], MATRIX | {"cnl4.fc"}),
     (["options", "table"], MATRIX | {"cnl4.relational"}),
     (["conseq", "p |- q", "--fde"], MATRIX | {"cnl4.relational"}),
     (["eval", "p & q", "p=1", "q=j"], MATRIX),
     (["countermodel", "p |- q"], MATRIX),
-    (["corpus"], MATRIX | {"cnl4.nd"}),
+    (["corpus"], {"cnl4.nd"}),
     (["fc", "closure"], MATRIX | {"cnl4.fc"}),
     (["fc", "find", "--target", "t:f,b:b,n:n,f:t"], MATRIX | {"cnl4.fc", "cnl4.relational"}),
     (["options", "compare", "p | ~p"], MATRIX | {"cnl4.relational"}),
+    (["search-proof", "a | b |- b | a"], MATRIX | {"cnl4.nd"}),  # splits a | b
+    (["search-proof", "p |- q"], MATRIX | {"cnl4.nd"}),  # a miss, told from an invalid sequent
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_verb_loads_only_its_layers(tmp_path, argv, layers) -> None:
     proof = tmp_path / "proof.json"
@@ -147,24 +153,34 @@ def test_dir_lists_every_public_name() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The names the benchmark tracer wraps on cnl4.cli
+# The names the benchmark tracer wraps
 
-def _traced_cli_names() -> list[str]:
+def _traced_entry_points() -> dict[str, list[str]]:
+    """``PROGRAM_ENTRY_POINTS``'s attribute names, by module."""
     tree = ast.parse(TRACING.read_text(encoding="utf-8"))
     [entries] = [ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "PROGRAM_ENTRY_POINTS" for t in node.targets)]
-    return [attr for module, attr, _ in entries if module == "cnl4.cli"]
+    by_module: dict[str, list[str]] = {}
+    for module, attr, _ in entries:
+        by_module.setdefault(module, []).append(attr)
+    return by_module
 
 
 def test_tracer_names_resolve_on_a_fresh_cli() -> None:
-    names = _traced_cli_names()
+    # each module in its own fresh interpreter, so no other module's
+    # imports load a layer first (nd's matrix names resolve on first read)
+    entry_points = _traced_entry_points()
+    assert set(entry_points) == {"cnl4.cli", "cnl4.matrix", "cnl4.fc", "cnl4.nd"}
     assert {"is_consequence", "check", "search", "verify_delta_c",
-            "option_table_lines"} <= set(names)
-    resolved = fresh("import json, sys\nimport cnl4.cli\n"
-                     "print(json.dumps([callable(getattr(cnl4.cli, n)) for n in sys.argv[1:]]))",
-                     *names)
-    assert resolved == [True] * len(names)
+            "option_table_lines"} <= set(entry_points["cnl4.cli"])
+    assert "is_consequence" in entry_points["cnl4.nd"]
+    for module, names in entry_points.items():
+        resolved = fresh("import importlib, json, sys\n"
+                         "module = importlib.import_module(sys.argv[1])\n"
+                         "print(json.dumps([callable(getattr(module, n)) for n in sys.argv[2:]]))",
+                         module, *names)
+        assert resolved == [True] * len(names), module
 
 
 _COUNT_CALLS = """
@@ -195,6 +211,67 @@ def test_verbs_call_functions_wrapped_before_their_layer_loads(tmp_path, monkeyp
     assert codes == [0, 0, 0, 0, 0]
     assert counts == {"is_consequence": 1, "check": 1, "search": 1, "verify_delta_c": 1,
                       "option_table_lines": 4}
+
+
+# ---------------------------------------------------------------------------
+# The proof layer loads matrix only to decide a sequent
+
+_PROOF_LAYER = """
+import json, sys
+from cnl4 import nd
+from cnl4.formula import parse_sequent
+result = %s
+print(json.dumps([result, sorted(m for m in sys.modules if m.startswith("cnl4."))]))
+"""
+
+
+@pytest.mark.parametrize(("expression", "result", "layers"), [
+    ("None", None, set()),
+    ("str(nd.check(nd.from_json_dict(json.loads(sys.argv[1]))).conclusion)", "p & q", set()),
+    ("len([(nd.render_derivation(e.derivation), nd.derivation_sequent(e.derivation))"
+     " for e in nd.corpus()])", 10, set()),
+    ("nd.search(parse_sequent('p & q |- q | r')) is not None", True, set()),
+    ("nd.search(parse_sequent('a | b |- b | a')) is not None", True, MATRIX),
+    ("nd.soundness_check(nd.corpus()[0].derivation)", True, MATRIX),
+], ids=["import", "load and check", "corpus", "search without a split", "search with a split",
+        "soundness check"])
+def test_the_proof_layer_loads_matrix_only_to_decide(expression, result, layers) -> None:
+    entry = next(e for e in nd.corpus() if e.name == "andI-andE-roundtrip")
+    found, loaded = fresh(_PROOF_LAYER % expression, json.dumps(nd.to_json_dict(entry.derivation)))
+    assert found == result
+    assert set(loaded) == {"cnl4.formula", "cnl4.nd"} | layers
+
+
+_REPLACED_BEFORE_THE_SPLIT = """
+import json, sys
+from cnl4 import nd
+from cnl4.formula import parse_sequent
+calls = []
+def counting(sequent):
+    from cnl4.matrix import is_consequence
+    calls.append(str(sequent))
+    return is_consequence(sequent)
+nd.is_consequence = counting
+before = "cnl4.matrix" in sys.modules
+found = nd.search(parse_sequent("a | b |- b | a")) is not None
+print(json.dumps([before, found, calls, nd.is_consequence is counting]))
+"""
+
+
+def test_a_replaced_is_consequence_is_what_the_first_split_calls() -> None:
+    # binding matrix's names at the split keeps a wrapper installed first
+    assert fresh(_REPLACED_BEFORE_THE_SPLIT) == [False, True, ["a | b |- b | a"], True]
+
+
+def test_search_proof_loads_matrix_at_a_deep_first_split() -> None:
+    # the first case split, and so matrix's import, comes with 199 _prove
+    # frames on the stack (see test_nd's test_precheck_runs_at_a_deep_first_split)
+    sequent = "a | b |- " + " & ".join(["c"] * 200)
+    done = subprocess.run([sys.executable, "-m", "cnl4.cli", "search-proof", sequent,
+                           "--depth", str(nd.MAX_SEARCH_DEPTH)], capture_output=True, text=True,
+                          env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout == "invalid\ncountermodel: a=1, b=1, c=0\n"
 
 
 # ---------------------------------------------------------------------------
