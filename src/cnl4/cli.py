@@ -45,7 +45,8 @@ _LAYER_NAMES = {
     "matrix": ("CANONICAL_ORDER", "DEFAULT_CAP", "CapExceededError", "UnboundVariableError",
                "Value", "countermodel", "evaluate", "is_consequence", "truth_rows", "truth_table"),
     "nd": ("DerivationError", "ProofFormatError", "check", "corpus", "derivation_sequent",
-           "from_json_dict", "render_derivation", "search", "to_json_dict"),
+           "from_json_dict", "render_derivation", "to_json_dict"),
+    "prove": ("search",),
     "fc": ("UnaryTable", "find_term_for_unary", "unary_clone_closure", "verify_delta_c"),
     "relational": ("FdeValue", "OPTIONS", "check_option_equivalence", "get_option",
                    "option_table_lines"),
@@ -58,7 +59,7 @@ def _load(*layers: str) -> None:
         _bind(globals(), layer, _LAYER_NAMES[layer])
 
 
-__getattr__ = _lazy_getattr(globals(), _LAYER_NAMES)
+__getattr__ = _lazy_getattr(globals(), tuple(_LAYER_NAMES.items()))
 
 
 class UsageError(Exception):
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof,
          ("nd",), [fmt], "file")
     p = verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
-             ("nd",), [depth, fmt], "sequent")
+             ("nd", "prove"), [depth, fmt], "sequent")
     p.set_defaults(fde=False)  # an invalid sequent's countermodel prints matrix values
     verb(sub, "corpus", "list the bundled derivations", cmd_corpus, ("nd",), [fmt])
 

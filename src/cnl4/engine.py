@@ -104,16 +104,22 @@ class Program:
         self.block_size = 4 ** min(len(self.names), BLOCK_VARS)
 
     @functools.cached_property
-    def _release(self) -> list[set[int]]:
-        """The inner nodes whose plane each node reads last, dropped after it
-        in blocks wider than a probe, so the live planes stay few however
-        large the formulas are."""
-        release, seen = [], set(self.roots)
-        for op, a, b in reversed(self.nodes):
-            read = set() if op == _ATOM else {a} if op == _NEG else {a, b}
-            release.append(read - seen)
-            seen |= read
-        return release[::-1]
+    def _release(self) -> list[list[int]]:
+        """The nodes whose plane each node reads last, dropped after it in
+        blocks wider than a probe, so the live planes stay few however large
+        the formulas are.  A root's plane is kept."""
+        last = {}  # node -> the last node that reads its plane, in one pass
+        for i, (op, a, b) in enumerate(self.nodes):
+            if op != _ATOM:
+                last[a] = i
+                if op != _NEG:
+                    last[b] = i
+        for root in self.roots:
+            last.pop(root, None)
+        release: list[list[int]] = [[] for _ in self.nodes]
+        for node, reader in last.items():
+            release[reader].append(node)
+        return release
 
     def blocks(self, clauses: Clauses,
                cycling: int = BLOCK_VARS) -> Iterator[tuple[int, list[Planes]]]:

@@ -196,6 +196,8 @@ def _formula(text: str, tokens: list[str], i: int, nodes: dict) -> tuple[Formula
     level, with its depth and the operator's token index; an open
     parenthesis pushes them, with the ``~``-run before it, onto ``frames``.
     """
+    # tuple.__new__ builds each node as its class's __new__ would, minus a call
+    new = tuple.__new__
     frames: list[tuple] = []
     left_or = left_and = None
     or_depth = or_at = and_depth = and_at = 0
@@ -216,7 +218,7 @@ def _formula(text: str, tokens: list[str], i: int, nodes: dict) -> tuple[Formula
             continue
         if token in _SYMBOLS:
             raise _error(text, i - 1, "expected a formula")
-        f = nodes.get(token) or nodes.setdefault(token, Atom(token))
+        f = nodes.get(token) or nodes.setdefault(token, new(Atom, (Atom, token)))
         depth = 0
         # close the operand's ~-run, then every &, | and parenthesis it ends
         while True:
@@ -226,11 +228,11 @@ def _formula(text: str, tokens: list[str], i: int, nodes: dict) -> tuple[Formula
                     raise _too_deep(text, first + negations - 1 - (MAX_DEPTH - depth))
                 for _ in range(negations):
                     key = (Neg, id(f))
-                    f = nodes.get(key) or nodes.setdefault(key, Neg(f))
+                    f = nodes.get(key) or nodes.setdefault(key, new(Neg, (Neg, f)))
                 depth += negations
             if left_and is not None:
                 key = (And, id(left_and), id(f))
-                f = nodes.get(key) or nodes.setdefault(key, And(left_and, f))
+                f = nodes.get(key) or nodes.setdefault(key, new(And, (And, left_and, f)))
                 depth = (and_depth if and_depth > depth else depth) + 1
                 if depth > MAX_DEPTH:
                     raise _too_deep(text, and_at)
@@ -242,7 +244,7 @@ def _formula(text: str, tokens: list[str], i: int, nodes: dict) -> tuple[Formula
             left_and = None
             if left_or is not None:
                 key = (Or, id(left_or), id(f))
-                f = nodes.get(key) or nodes.setdefault(key, Or(left_or, f))
+                f = nodes.get(key) or nodes.setdefault(key, new(Or, (Or, left_or, f)))
                 depth = (or_depth if or_depth > depth else depth) + 1
                 if depth > MAX_DEPTH:
                     raise _too_deep(text, or_at)

@@ -1,4 +1,4 @@
-"""Natural deduction: derivation trees, checking, search, bundled corpus.
+"""Natural deduction: derivation trees, checking, JSON, bundled corpus.
 
 The calculus has fifteen rules.  Alongside the usual introduction and
 elimination rules for & and |, double negation is governed by two rules
@@ -13,26 +13,27 @@ schema and the discharge discipline and returns the open assumptions
 together with the conclusion.
 
 Checking, loading, the corpus and rendering are syntax alone, so this
-module loads ``matrix`` only when it first decides a sequent: at a
-search's first case split and in :func:`soundness_check`.
+module loads ``matrix`` only when it first decides a sequent, in
+:func:`soundness_check` or for search.  Bounded search lives in
+:mod:`cnl4.prove`, which ``check-proof`` and ``corpus`` never load;
+``nd.search`` resolves there on first read.
 """
 
 from __future__ import annotations
 
-import itertools
+import os
 from enum import Enum
 from typing import NamedTuple
 
 from . import _bind, _lazy_getattr
-from .formula import And, Atom, Formula, Neg, Or, Sequent, format_formula, parse
-
-DEFAULT_DEPTH = 6
+from .formula import And, Formula, Neg, Or, Sequent, format_formula, parse
 
 #: The names this module takes from ``matrix``, bound when it first decides
 #: a sequent, or when a caller first reads ``nd.<name>`` (a tracer that
-#: replaces ``is_consequence`` with a wrapper does).
+#: replaces ``is_consequence`` with a wrapper does, and so does search's
+#: check at its first case split).
 _MATRIX_NAMES = ("DEFAULT_CAP", "CapExceededError", "is_consequence")
-__getattr__ = _lazy_getattr(globals(), {"matrix": _MATRIX_NAMES})
+__getattr__ = _lazy_getattr(globals(), (("matrix", _MATRIX_NAMES), ("prove", ("search",))))
 
 #: Most nodes on a path from the root of a proof file.  Reading, loading
 #: and checking recurse per level.  Under pytest with 150 extra frames on
@@ -40,16 +41,6 @@ __getattr__ = _lazy_getattr(globals(), {"matrix": _MATRIX_NAMES})
 #: :data:`~cnl4.formula.MAX_DEPTH` reads, loads and checks; at 411 the JSON
 #: reader runs out, while loading and checking alone fit 801 (Python 3.11).
 MAX_PROOF_DEPTH = 100
-
-#: Largest search depth :func:`search` accepts.  Search recurses once per
-#: level.  Under pytest with 150 extra frames on the stack, a search that
-#: splits a disjunction at every level and compares formulas at
-#: :data:`~cnl4.formula.MAX_DEPTH` completes at depth 608 and overflows at
-#: 610.  A search whose first case split, and so its matrix check, sits
-#: 199 levels down completes at depth 200 in a fresh interpreter, where
-#: that check first imports ``matrix``, with 770 extra frames and overflows
-#: with 771; with ``matrix`` already loaded, 790 and 791 (Python 3.11).
-MAX_SEARCH_DEPTH = 200
 
 
 class Rule(Enum):
@@ -414,142 +405,6 @@ def derivation_sequent(d: Derivation) -> Sequent:
 
 
 # --------------------------------------------------------------------------
-# Bounded proof search
-
-def search(s: Sequent, depth: int = DEFAULT_DEPTH) -> Derivation | None:
-    """Goal-directed backward search, bounded by tree height ``depth``.
-
-    Deterministic: assumption order and a fixed rule order decide the
-    result.  ``None`` means the sequent is matrix-invalid, so by soundness
-    it has no derivation (checked at the first case split, up to
-    ``DEFAULT_CAP`` variables), or that no derivation was found within the
-    bound.  Raises ``ValueError`` when ``depth`` is below 1 or exceeds
-    :data:`MAX_SEARCH_DEPTH`.
-    """
-    if depth < 1:
-        raise ValueError(f"search depth {depth} is below 1")
-    if depth > MAX_SEARCH_DEPTH:
-        raise ValueError(f"search depth {depth} exceeds the bound of {MAX_SEARCH_DEPTH}")
-    # dict.fromkeys drops repeated premises and keeps first occurrences in order
-    assumptions = [(f"p{i}", p) for i, p in enumerate(dict.fromkeys(s.premises), 1)]
-    return _prove(s.conclusion, assumptions, depth, _Search(s))
-
-
-class _Search:
-    """One search's state: the counter behind the ``h<n>`` case labels, and
-    the sequent's matrix verdict, computed at the first case split, since
-    case analysis alone makes bounded search blow up.  Above the cap the
-    verdict is ``True`` and search goes on unchecked."""
-
-    __slots__ = ("sequent", "labels", "valid")
-
-    def __init__(self, s: Sequent) -> None:
-        self.sequent = s
-        self.labels = itertools.count(1)
-        self.valid: bool | None = None
-
-    def may_split(self) -> bool:
-        if self.valid is None:
-            _bind(globals(), "matrix", _MATRIX_NAMES)
-            try:
-                self.valid = is_consequence(self.sequent).valid
-            except CapExceededError:
-                self.valid = True
-        return self.valid
-
-
-def _find(assumptions: list[tuple[str, Formula]], f: Formula) -> str | None:
-    for label, g in assumptions:
-        if g == f:
-            return label
-    return None
-
-
-def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
-           depth: int, state: _Search) -> Derivation | None:
-    label = _find(assumptions, goal)
-    if label is not None:
-        return hyp(label, goal)
-
-    # shapes are tested in place: building ~~A just to compare costs two nodes
-    if isinstance(goal, Or) and _is_double_negation(goal.right, goal.left):
-        return nn2(goal.left)
-
-    if depth >= 2:
-        doubled = [(label, g) for label, g in assumptions
-                   if isinstance(g, Neg) and isinstance(g.body, Neg)]
-        for label_a, f in assumptions:
-            for label_nn, g in doubled:
-                if g.body.body == f:
-                    return nn1(hyp(label_a, f), hyp(label_nn, g), goal)
-
-        # introduction rules on the goal's shape
-        if isinstance(goal, And):
-            left = _prove(goal.left, assumptions, depth - 1, state)
-            if left is not None:
-                right = _prove(goal.right, assumptions, depth - 1, state)
-                if right is not None:
-                    return and_i(left, right)
-        elif isinstance(goal, Or):
-            left = _prove(goal.left, assumptions, depth - 1, state)
-            if left is not None:
-                return or_i_l(left, goal.right)
-            right = _prove(goal.right, assumptions, depth - 1, state)
-            if right is not None:
-                return or_i_r(right, goal.left)
-        elif isinstance(goal, Neg) and isinstance(goal.body, And):
-            left = _prove(Neg(goal.body.left), assumptions, depth - 1, state)
-            if left is not None:
-                right = _prove(Neg(goal.body.right), assumptions, depth - 1, state)
-                if right is not None:
-                    return nand_i(left, right)
-        elif isinstance(goal, Neg) and isinstance(goal.body, Or):
-            left = _prove(Neg(goal.body.left), assumptions, depth - 1, state)
-            if left is not None:
-                return nor_i_l(left, goal.body.right)
-            right = _prove(Neg(goal.body.right), assumptions, depth - 1, state)
-            if right is not None:
-                return nor_i_r(right, goal.body.left)
-
-        # single-step eliminations from assumptions
-        for label_a, f in assumptions:
-            if isinstance(f, And):
-                if f.left == goal:
-                    return and_e_l(hyp(label_a, f))
-                if f.right == goal:
-                    return and_e_r(hyp(label_a, f))
-            if isinstance(f, Neg) and isinstance(f.body, And) and isinstance(goal, Neg):
-                if goal.body == f.body.left:
-                    return nand_e_l(hyp(label_a, f))
-                if goal.body == f.body.right:
-                    return nand_e_r(hyp(label_a, f))
-
-        # case analysis, tried last
-        for label_a, f in assumptions:
-            if isinstance(f, Or):
-                cases: tuple[Formula, Formula] = (f.left, f.right)
-                build = or_e
-            elif isinstance(f, Neg) and isinstance(f.body, Or):
-                cases = (Neg(f.body.left), Neg(f.body.right))
-                build = nor_e
-            else:
-                continue
-            if not state.may_split():  # invalid: no split can find a derivation
-                return None
-            label_l = f"h{next(state.labels)}"
-            label_r = f"h{next(state.labels)}"
-            left = _prove(goal, assumptions + [(label_l, cases[0])], depth - 1, state)
-            if left is None:
-                continue
-            right = _prove(goal, assumptions + [(label_r, cases[1])], depth - 1, state)
-            if right is None:
-                continue
-            return build(hyp(label_a, f), left, right, (label_l, label_r))
-
-    return None
-
-
-# --------------------------------------------------------------------------
 # Bundled corpus
 
 class CorpusEntry(NamedTuple):
@@ -557,48 +412,23 @@ class CorpusEntry(NamedTuple):
     derivation: Derivation
 
 
+#: The corpus file: a JSON list of ``{"name": ..., "derivation": ...}``
+#: objects, each derivation in the JSON proof format.
+_CORPUS_FILE = os.path.join(os.path.dirname(__file__), "data", "corpus.json")
+
+
 def corpus() -> list[CorpusEntry]:
-    """Named derivations exercising every rule.
+    """Named derivations exercising every rule, loaded from the corpus file.
 
     Includes the double-negation axiom and explosion, intro/elim round
     trips for & and |, and all four directions of the de Morgan
     interderivabilities.
     """
-    p, q = Atom("p"), Atom("q")
-    np_, nq = Neg(p), Neg(q)
+    import json  # the corpus is the only JSON text this module reads
 
-    entries = [
-        CorpusEntry("nn2", nn2(p)),
-        CorpusEntry("nn1-explosion",
-                    nn1(hyp("h1", p), hyp("h2", Neg(Neg(p))), q)),
-        CorpusEntry("andI-andE-roundtrip",
-                    and_i(and_e_l(hyp("h1", And(p, q))),
-                          and_e_r(hyp("h1", And(p, q))))),
-        CorpusEntry("orE-roundtrip",
-                    or_e(hyp("h1", Or(p, p)),
-                         hyp("h2", p), hyp("h3", p), ("h2", "h3"))),
-        CorpusEntry("orI-orE-roundtrip",
-                    or_e(or_i_l(hyp("h1", p), p),
-                         hyp("h2", p), hyp("h3", p), ("h2", "h3"))),
-        CorpusEntry("deMorgan-and-L", nand_e_l(hyp("h1", Neg(And(p, q))))),
-        CorpusEntry("deMorgan-nand-to-conj",
-                    and_i(nand_e_l(hyp("h1", Neg(And(p, q)))),
-                          nand_e_r(hyp("h1", Neg(And(p, q)))))),
-        CorpusEntry("deMorgan-conj-to-nand",
-                    nand_i(and_e_l(hyp("h1", And(np_, nq))),
-                           and_e_r(hyp("h1", And(np_, nq))))),
-        CorpusEntry("deMorgan-nor-to-disj",
-                    nor_e(hyp("h1", Neg(Or(p, q))),
-                          or_i_l(hyp("h2", np_), nq),
-                          or_i_r(hyp("h3", nq), np_),
-                          ("h2", "h3"))),
-        CorpusEntry("deMorgan-disj-to-nor",
-                    or_e(hyp("h1", Or(np_, nq)),
-                         nor_i_l(hyp("h2", np_), q),
-                         nor_i_r(hyp("h3", nq), p),
-                         ("h2", "h3"))),
-    ]
-    return entries
+    with open(_CORPUS_FILE, encoding="utf-8") as handle:
+        entries = json.load(handle)
+    return [CorpusEntry(e["name"], from_json_dict(e["derivation"])) for e in entries]
 
 
 # --------------------------------------------------------------------------

@@ -19,9 +19,12 @@ The reference printer, substitution and subformula walk are the
 node's class and position (and an explicit stack for the walk); they must
 agree with it exactly, down to the identity of the atoms a substitution
 keeps.
+The reference release lists are ``engine.Program``'s set computation, which
+its one-pass last-reader walk replaced; the two must give the same lists.
 The reference search checks the sequent against the matrix before it
-searches; ``nd.search``, which checks at its first case split, must find
-the same derivation.  The reference truth-table output renders the whole
+searches; ``prove.search``, which checks at its first case split, must find
+the same derivation.  The reference corpus is built by the rule builders,
+as ``nd.corpus`` was before it read its entries from a data file.  The reference truth-table output renders the whole
 table at once, as ``cnl4 truthtable`` did before it streamed its rows; the
 CLI's stdout must equal it byte for byte.
 """
@@ -35,7 +38,7 @@ from itertools import count, product
 
 from hypothesis import strategies as st
 
-from cnl4 import nd
+from cnl4 import prove
 from cnl4.fc import BinaryTable, UnaryTable
 from cnl4.formula import (
     MAX_DEPTH,
@@ -466,7 +469,7 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
     return _merge(path, rule, results)
 
 
-# The reference search: ``nd.search`` as it was before its matrix check
+# The reference search: ``search`` as it was before its matrix check
 # moved to the first case split.  It checks the sequent first and only then
 # runs the search body, which finds the verdict already made.  ``search``
 # must give the same result, labels included, on every sequent.
@@ -478,10 +481,41 @@ def reference_search(s: Sequent, depth: int) -> Derivation | None:
             return None
     except CapExceededError:
         pass
-    state = nd._Search(s)
+    state = prove._Search(s)
     state.valid = True
     assumptions = [(f"p{i}", p) for i, p in enumerate(dict.fromkeys(s.premises), 1)]
-    return nd._prove(s.conclusion, assumptions, depth, state)
+    return prove._prove(s.conclusion, assumptions, depth, state)
+
+
+# The reference corpus: the bundled derivations as the rule builders made
+# them before the corpus became a data file.  ``nd.corpus`` must give the
+# same entries, in the same order.
+
+def reference_corpus() -> list[tuple[str, Derivation]]:
+    """``(name, derivation)`` of each corpus entry, built by the builders."""
+    p, q = Atom("p"), Atom("q")
+    np_, nq = Neg(p), Neg(q)
+    return [
+        ("nn2", nn2(p)),
+        ("nn1-explosion", nn1(hyp("h1", p), hyp("h2", Neg(Neg(p))), q)),
+        ("andI-andE-roundtrip",
+         and_i(and_e_l(hyp("h1", And(p, q))), and_e_r(hyp("h1", And(p, q))))),
+        ("orE-roundtrip",
+         or_e(hyp("h1", Or(p, p)), hyp("h2", p), hyp("h3", p), ("h2", "h3"))),
+        ("orI-orE-roundtrip",
+         or_e(or_i_l(hyp("h1", p), p), hyp("h2", p), hyp("h3", p), ("h2", "h3"))),
+        ("deMorgan-and-L", nand_e_l(hyp("h1", Neg(And(p, q))))),
+        ("deMorgan-nand-to-conj",
+         and_i(nand_e_l(hyp("h1", Neg(And(p, q)))), nand_e_r(hyp("h1", Neg(And(p, q)))))),
+        ("deMorgan-conj-to-nand",
+         nand_i(and_e_l(hyp("h1", And(np_, nq))), and_e_r(hyp("h1", And(np_, nq))))),
+        ("deMorgan-nor-to-disj",
+         nor_e(hyp("h1", Neg(Or(p, q))), or_i_l(hyp("h2", np_), nq),
+               or_i_r(hyp("h3", nq), np_), ("h2", "h3"))),
+        ("deMorgan-disj-to-nor",
+         or_e(hyp("h1", Or(np_, nq)), nor_i_l(hyp("h2", np_), q),
+              nor_i_r(hyp("h3", nq), p), ("h2", "h3"))),
+    ]
 
 
 # The reference parser: a tokenizer of frozen-dataclass tokens and a
@@ -705,6 +739,18 @@ def reference_program(formulas) -> tuple[list, list, list]:
                 nodes.append(key)
             node_of[id(f)] = node
     return nodes, [node_of[id(root)] for root in formulas], list(variables)
+
+
+def reference_release(program) -> list[set[int]]:
+    """``Program._release`` as three sets per DAG node: a walk back from the
+    last node, where each node releases the children it reads that no
+    later node reads and that are not roots."""
+    release, seen = [], set(program.roots)
+    for op, a, b in reversed(program.nodes):
+        read = set() if op == 0 else {a} if op == 1 else {a, b}
+        release.append(read - seen)
+        seen |= read
+    return release[::-1]
 
 
 _REF_PREC_OR, _REF_PREC_AND, _REF_PREC_NEG, _REF_PREC_ATOM = 1, 2, 3, 4

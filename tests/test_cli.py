@@ -29,12 +29,12 @@ from cnl4.cli import run
 from cnl4.formula import MAX_DEPTH, format_formula, parse
 from cnl4.nd import (
     MAX_PROOF_DEPTH,
-    MAX_SEARCH_DEPTH,
     check,
     corpus,
     from_json_dict,
     to_json_dict,
 )
+from cnl4.prove import MAX_SEARCH_DEPTH
 from cnl4.relational import OPTIONS, FalsityStyle
 from helpers import (
     and_elim_chain,

@@ -73,6 +73,7 @@ from helpers import (
     reference_evaluate,
     reference_mismatches,
     reference_program,
+    reference_release,
     reference_rel_designated,
     reference_rel_eval,
 )
@@ -407,12 +408,28 @@ def test_compile_equals_reference_program(formulas) -> None:
     """The same nodes, roots and names as the ``isinstance`` walk, whether
     equal subformulas are one object (hypothesis reuses atoms, ``parse``
     shares within a text, a formula may repeat or be doubled) or not."""
-    batches = [formulas, [*formulas, *formulas[::-1]], [And(f, f) for f in formulas],
-               [unshared(f) for f in formulas] + formulas,
-               [parse(format_formula(f)) for f in formulas]]
-    for batch in batches:
+    for batch in _batches(formulas):
         program = Program(batch)
         assert (program.nodes, program.roots, program.names) == reference_program(batch)
+
+
+def _batches(formulas: list[Formula]) -> list[list[Formula]]:
+    return [formulas, [*formulas, *formulas[::-1]], [And(f, f) for f in formulas],
+            [unshared(f) for f in formulas] + formulas,
+            [parse(format_formula(f)) for f in formulas]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(formula_strategy(atoms=("p", "q", "r", "s"), max_leaves=12),
+                min_size=1, max_size=3))
+def test_release_lists_equal_reference(formulas) -> None:
+    """Each node releases the planes it reads last, roots never, as the
+    three-sets-per-node walk found them."""
+    for batch in _batches(formulas):
+        program = Program(batch)
+        release = program._release
+        assert [set(r) for r in release] == reference_release(program)
+        assert all(len(r) == len(set(r)) for r in release)
 
 
 @pytest.mark.parametrize("bad", ["p", TruthSet(True, False), None],

@@ -2,11 +2,13 @@
 and what they keep.
 
 ``cnl4`` imports a layer when one of its names is first read, and the CLI
-imports ``matrix``, ``nd``, ``fc`` and ``relational`` only for the verbs
-that use them.  ``nd`` imports ``matrix`` only when it first decides a
-sequent: at a search's first case split and in ``soundness_check``, so
-``check-proof``, ``corpus`` and a search that never splits load no
-semantics, and ``search-proof`` loads it at a split or for a miss.
+imports ``matrix``, ``nd``, ``prove``, ``fc`` and ``relational`` only for
+the verbs that use them.  Search lives in ``prove``, which only
+``search-proof`` and a first read of ``search`` load.  ``nd`` imports
+``matrix`` only when it first decides a sequent: at a search's first case
+split and in ``soundness_check``, so ``check-proof``, ``corpus`` and a
+search that never splits load no semantics, and ``search-proof`` loads it
+at a split or for a miss.
 Module loading is checked in fresh interpreters, one per case, with no
 bytecode written.  The public surface and every name the benchmark tracer
 wraps must resolve as they did with eager imports.
@@ -24,13 +26,15 @@ from pathlib import Path
 import pytest
 
 import cnl4
-from cnl4 import cli, nd, relational
+from cnl4 import cli, nd, prove, relational
 
 SRC = str(Path(cnl4.__file__).parents[1])
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 #: What every CLI command loads, and what ``matrix`` brings with it.
 BASE = {"cnl4.cli", "cnl4.formula"}
 MATRIX = {"cnl4.matrix", "cnl4.engine"}
+#: What ``search-proof`` loads besides ``matrix``.
+PROOF_SEARCH = {"cnl4.nd", "cnl4.prove"}
 
 #: ``cnl4.__all__`` as the eager package listed it.
 PUBLIC_NAMES = [
@@ -53,7 +57,7 @@ PUBLIC_NAMES = [
     "find_term_for_unary", "fn_of_unary_term", "is_essentially_binary",
     "slupecki_check", "unary_clone_closure", "verify_delta_c",
 ]
-SUBMODULES = ("formula", "engine", "matrix", "relational", "nd", "fc")
+SUBMODULES = ("formula", "engine", "matrix", "relational", "nd", "prove", "fc")
 
 
 def fresh(code: str, *args: str) -> object:
@@ -84,7 +88,7 @@ def test_import_cnl4_loads_no_layer() -> None:
     (["conseq", "p, q |- p & q"], MATRIX),
     (["truthtable", "p | ~p"], MATRIX),
     (["check-proof", "{proof}"], {"cnl4.nd"}),
-    (["search-proof", "p & q |- q & p"], {"cnl4.nd"}),
+    (["search-proof", "p & q |- q & p"], PROOF_SEARCH),
     (["fc", "verify"], MATRIX | {"cnl4.fc"}),
     (["options", "table"], MATRIX | {"cnl4.relational"}),
     (["conseq", "p |- q", "--fde"], MATRIX | {"cnl4.relational"}),
@@ -94,8 +98,8 @@ def test_import_cnl4_loads_no_layer() -> None:
     (["fc", "closure"], MATRIX | {"cnl4.fc"}),
     (["fc", "find", "--target", "t:f,b:b,n:n,f:t"], MATRIX | {"cnl4.fc", "cnl4.relational"}),
     (["options", "compare", "p | ~p"], MATRIX | {"cnl4.relational"}),
-    (["search-proof", "a | b |- b | a"], MATRIX | {"cnl4.nd"}),  # splits a | b
-    (["search-proof", "p |- q"], MATRIX | {"cnl4.nd"}),  # a miss, told from an invalid sequent
+    (["search-proof", "a | b |- b | a"], MATRIX | PROOF_SEARCH),  # splits a | b
+    (["search-proof", "p |- q"], MATRIX | PROOF_SEARCH),  # a miss, told from an invalid sequent
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_verb_loads_only_its_layers(tmp_path, argv, layers) -> None:
     proof = tmp_path / "proof.json"
@@ -230,8 +234,8 @@ print(json.dumps([result, sorted(m for m in sys.modules if m.startswith("cnl4.")
     ("str(nd.check(nd.from_json_dict(json.loads(sys.argv[1]))).conclusion)", "p & q", set()),
     ("len([(nd.render_derivation(e.derivation), nd.derivation_sequent(e.derivation))"
      " for e in nd.corpus()])", 10, set()),
-    ("nd.search(parse_sequent('p & q |- q | r')) is not None", True, set()),
-    ("nd.search(parse_sequent('a | b |- b | a')) is not None", True, MATRIX),
+    ("nd.search(parse_sequent('p & q |- q | r')) is not None", True, {"cnl4.prove"}),
+    ("nd.search(parse_sequent('a | b |- b | a')) is not None", True, MATRIX | {"cnl4.prove"}),
     ("nd.soundness_check(nd.corpus()[0].derivation)", True, MATRIX),
 ], ids=["import", "load and check", "corpus", "search without a split", "search with a split",
         "soundness check"])
@@ -240,6 +244,46 @@ def test_the_proof_layer_loads_matrix_only_to_decide(expression, result, layers)
     found, loaded = fresh(_PROOF_LAYER % expression, json.dumps(nd.to_json_dict(entry.derivation)))
     assert found == result
     assert set(loaded) == {"cnl4.formula", "cnl4.nd"} | layers
+
+
+# ---------------------------------------------------------------------------
+# Search lives in prove, which only a search loads
+
+_READ_NAMES = """
+import json, sys
+import cnl4
+for name in sys.argv[1:]:
+    module, _, attr = name.rpartition(".")
+    getattr(__import__(module, fromlist=["_"]), attr)
+print(json.dumps("cnl4.prove" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(("names", "loaded"), [
+    (["cnl4.check", "cnl4.from_json_dict", "cnl4.to_json_dict", "cnl4.soundness_check",
+      "cnl4.corpus", "cnl4.render_derivation"], False),
+    (["cnl4.cli.check", "cnl4.cli.from_json_dict", "cnl4.cli.corpus"], False),
+    (["cnl4.search"], True),
+    (["cnl4.nd.search"], True),
+    (["cnl4.cli.search"], True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_only_reading_search_loads_prove(names, loaded) -> None:
+    assert fresh(_READ_NAMES, *names) is loaded
+
+
+_SEARCH_IDENTITY = """
+import json, sys
+import cnl4
+from cnl4 import cli, nd, prove
+first = {"cnl4": cnl4, "nd": nd, "cli": cli}[sys.argv[1]].search
+print(json.dumps(first is cnl4.search is nd.search is cli.search is prove.search))
+"""
+
+
+@pytest.mark.parametrize("first", ["cnl4", "nd", "cli"])
+def test_search_is_one_object_whichever_name_is_read_first(first) -> None:
+    assert fresh(_SEARCH_IDENTITY, first) is True
+    assert cnl4.search is nd.search is cli.search is prove.search
 
 
 _REPLACED_BEFORE_THE_SPLIT = """
@@ -268,7 +312,7 @@ def test_search_proof_loads_matrix_at_a_deep_first_split() -> None:
     # frames on the stack (see test_nd's test_precheck_runs_at_a_deep_first_split)
     sequent = "a | b |- " + " & ".join(["c"] * 200)
     done = subprocess.run([sys.executable, "-m", "cnl4.cli", "search-proof", sequent,
-                           "--depth", str(nd.MAX_SEARCH_DEPTH)], capture_output=True, text=True,
+                           "--depth", str(prove.MAX_SEARCH_DEPTH)], capture_output=True, text=True,
                           env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
     assert (done.returncode, done.stderr) == (1, "")
     assert done.stdout == "invalid\ncountermodel: a=1, b=1, c=0\n"
@@ -288,4 +332,4 @@ def _actions(parser: argparse.ArgumentParser):
 def test_option_choices_and_depth_default_match_their_layers() -> None:
     actions = list(_actions(cli.build_parser()))
     assert {tuple(a.choices) for a in actions if a.dest == "option"} == {tuple(relational.OPTIONS)}
-    assert {a.default for a in actions if a.dest == "depth"} == {nd.DEFAULT_DEPTH}
+    assert {a.default for a in actions if a.dest == "depth"} == {prove.DEFAULT_DEPTH}

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnl4 import nd
+from cnl4 import nd, prove
 from cnl4.formula import (
     MAX_DEPTH,
     And,
@@ -35,7 +35,6 @@ from cnl4.matrix import CapExceededError, is_consequence
 from cnl4.nd import (
     DISCHARGING_RULES,
     MAX_PROOF_DEPTH,
-    MAX_SEARCH_DEPTH,
     CheckedSequent,
     CorpusEntry,
     Derivation,
@@ -56,15 +55,16 @@ from cnl4.nd import (
     or_e,
     or_i_l,
     render_derivation,
-    search,
     soundness_check,
     to_json_dict,
 )
+from cnl4.prove import MAX_SEARCH_DEPTH, search
 from helpers import (
     and_elim_chain,
     derivation_strategy,
     random_sequent,
     reference_check,
+    reference_corpus,
     reference_search,
     rules_used,
     splittable_sequent_strategy,
@@ -356,6 +356,10 @@ def test_corpus_names_are_unique_and_complete() -> None:
         assert required in names
 
 
+def test_corpus_file_holds_the_builders_derivations() -> None:
+    assert [tuple(e) for e in corpus()] == reference_corpus()
+
+
 def test_corpus_checks_and_is_sound() -> None:
     for entry in corpus():
         seq = check(entry.derivation)
@@ -573,13 +577,13 @@ def test_search_completes_at_the_search_depth_bound(monkeypatch) -> None:
     # assumptions held at each goal lookup; wrapping _find, unlike _prove,
     # adds one frame in all rather than one per level
     held = []
-    find = nd._find
+    find = prove._find
 
     def counting(assumptions, f):
         held.append(len(assumptions))
         return find(assumptions, f)
 
-    monkeypatch.setattr(nd, "_find", counting)
+    monkeypatch.setattr(prove, "_find", counting)
     assert search(sequent, MAX_SEARCH_DEPTH) is None
     assert max(held) == 2 + MAX_SEARCH_DEPTH - 1  # one case hypothesis per level
     with pytest.raises(ValueError, match=f"search depth {MAX_SEARCH_DEPTH + 1} exceeds"):
@@ -682,15 +686,15 @@ def test_precheck_leaves_random_search_results_unchanged() -> None:
 
 @pytest.fixture
 def prove_calls(monkeypatch) -> list:
-    """Every call search makes to ``nd._prove``, recursive ones included."""
+    """Every call search makes to ``prove._prove``, recursive ones included."""
     calls = []
-    prove = nd._prove
+    inner = prove._prove
 
     def counting(*args):
         calls.append(args)
-        return prove(*args)
+        return inner(*args)
 
-    monkeypatch.setattr(nd, "_prove", counting)
+    monkeypatch.setattr(prove, "_prove", counting)
     return calls
 
 
@@ -733,7 +737,7 @@ def test_precheck_runs_at_a_deep_first_split(monkeypatch) -> None:
     def counting(*args):
         frame, depth = sys._getframe(1), 0
         while frame is not None:
-            depth += frame.f_code is nd._prove.__code__
+            depth += frame.f_code is prove._prove.__code__
             frame = frame.f_back
         frames.append(depth)
         return consequence(*args)
@@ -967,11 +971,15 @@ def test_discharging_rules_constant() -> None:
 
 def test_nd_functions_read_rules_through_module_names() -> None:
     # On Python 3.11 every Rule.X read runs the enum metaclass's __getattr__,
-    # about 16 times the cost of a global, so nd binds the members once.
-    with open(nd.__file__, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
+    # about 16 times the cost of a global, so nd binds the members once
+    # (search, in prove, builds nodes through nd's builders).
+    trees = []
+    for module in (nd, prove):
+        with open(module.__file__, encoding="utf-8") as handle:
+            trees.append(ast.parse(handle.read()))
     reads = [
         (func.name, node.lineno)
+        for tree in trees
         for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
