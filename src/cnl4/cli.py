@@ -5,9 +5,10 @@ tables, consequence checking with countermodels, proof checking and
 search, the bundled derivation corpus, functional-completeness reports,
 and the option-reading tables.
 
-Each verb computes and returns ``(code, record, text)``: its exit code,
-its JSON record and its text.  ``run`` writes the one ``--format`` names,
-so a verb writes to stdout only through ``run``.  Either may be an iterator
+``run`` settles every command-line input first (:func:`_settle`), so each
+verb takes parsed values and only computes.  It returns ``(code, record,
+text)``: its exit code, its JSON record and its text.  ``run`` writes the
+one ``--format`` names, so a verb writes to stdout only through ``run``.  Either may be an iterator
 of rendered chunks (a truth table has 4**n rows); a verb raises any refusal
 before it returns, and ``run`` encodes any other record as a stream.
 
@@ -23,7 +24,8 @@ import json
 import os
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, NoReturn
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from . import _bind, _lazy_getattr
 from .formula import (
@@ -75,62 +77,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _resolve_settings(args: argparse.Namespace) -> None:
-    """Check the verb's settings in place.  A verb with --cap takes the cap
-    from the flag, then the CNL4_CAP environment variable, then the
-    default; no other verb reads CNL4_CAP."""
-    if "cap" in args:
-        if args.cap is None:
-            env = os.environ.get("CNL4_CAP")
-            try:
-                args.cap = DEFAULT_CAP if env is None else int(env)
-            except ValueError:
-                raise UsageError(f"CNL4_CAP must be an integer, got {env!r}") from None
-        if args.cap < 1:
-            raise UsageError("cap must be at least 1")
-    if "depth" in args and args.depth < 1:
-        raise UsageError("depth must be at least 1")
-    if "fde" in args and args.fde:
-        _load("relational")  # --fde prints values through an option's map
-
-
-#: What a verb returns: its exit code, its JSON record and its text; ``run``
-#: writes the one ``--format`` names, and nothing for ``None``.
-_Result = tuple[int, object, str | Iterator[str] | None]
-
-_JSON = json.JSONEncoder(indent=2, sort_keys=True)
-
-
-def _value_str(v: Value, args: argparse.Namespace) -> str:
-    if args.fde:
-        return get_option(args.option or "O1").value_map[v].value
-    return v.value
-
-
-def _assignment_json(inter: dict[str, Value], args: argparse.Namespace) -> dict[str, str]:
-    return {name: _value_str(v, args) for name, v in inter.items()}
-
-
-def _assignment_str(assignment: dict[str, str]) -> str:
-    return ", ".join(f"{name}={assignment[name]}" for name in sorted(assignment))
-
-
-def _tree(f: Formula) -> dict:
-    tree = {"type": type(f).__name__.lower()}
-    for name, field in zip(f._fields, f[1:]):
-        tree[name] = field if isinstance(field, str) else _tree(field)
-    return tree
-
-
-# --------------------------------------------------------------------------
-# Subcommands
-
-def cmd_parse(args: argparse.Namespace) -> _Result:
-    f = parse(args.formula)
-    text = format_formula(f)
-    return 0, {"formula": text, "variables": variables(f), "tree": _tree(f)}, text
-
-
 def _parse_bindings(pairs: list[str], names: list[str]) -> dict[str, Value]:
     assignment: dict[str, Value] = {}
     for pair in pairs:
@@ -149,11 +95,94 @@ def _parse_bindings(pairs: list[str], names: list[str]) -> dict[str, Value]:
     return assignment
 
 
+def _parse_fde_table(text: str, option_id: str) -> UnaryTable:
+    """The matrix table that ``text``, a table over t/b/n/f, is under the option's map."""
+    mapping: dict[FdeValue, FdeValue] = {}
+    for part in text.split(","):
+        source, sep, target = part.partition(":")
+        if not sep:
+            raise UsageError(f"target entries look like t:f, got {part!r}")
+        try:
+            key, value = FdeValue(source.strip()), FdeValue(target.strip())
+        except ValueError:
+            raise UsageError(f"unknown value in {part!r} (use t, b, n, f)") from None
+        if key in mapping:
+            raise UsageError(f"target table gives {key} more than once")
+        mapping[key] = value
+    missing = [w.value for w in FdeValue if w not in mapping]
+    if missing:
+        raise UsageError(f"target table is missing {', '.join(missing)}")
+    value_map = get_option(option_id).value_map
+    inverse = {w: v for v, w in value_map.items()}
+    return UnaryTable(tuple(inverse[mapping[value_map[v]]] for v in CANONICAL_ORDER))
+
+
+def _settle(args: argparse.Namespace) -> None:
+    """Turn the verb's inputs into the values it computes with, in place, refusing
+    them in this order: settings (--cap from the flag, then CNL4_CAP, then the
+    default; --depth), the formula or sequent, the bindings or target.  A value
+    prints as ``value_name`` names it: as itself, or under --fde by the option's map."""
+    if "cap" in args:
+        if args.cap is None:
+            env = os.environ.get("CNL4_CAP")
+            try:
+                args.cap = DEFAULT_CAP if env is None else int(env)
+            except ValueError:
+                raise UsageError(f"CNL4_CAP must be an integer, got {env!r}") from None
+        if args.cap < 1:
+            raise UsageError("cap must be at least 1")
+    if "depth" in args and args.depth < 1:
+        raise UsageError("depth must be at least 1")
+    if "formula" in args:
+        args.formula = parse(args.formula)
+    if "sequent" in args:
+        args.sequent = parse_sequent(args.sequent)
+    if "bindings" in args:
+        args.bindings = _parse_bindings(args.bindings, variables(args.formula))
+    if "target" in args:
+        args.target = _parse_fde_table(args.target, args.option or "O1")
+    args.value_name = attrgetter("_value_")  # not ``.value``, a Python-level property
+    if "fde" in args and args.fde:
+        _load("relational")
+        value_map = get_option(args.option or "O1").value_map
+        args.value_name = {v: w.value for v, w in value_map.items()}.__getitem__
+
+
+#: What a verb returns: its exit code, its JSON record and its text; ``run``
+#: writes the one ``--format`` names, and nothing for ``None``.
+_Result = tuple[int, object, str | Iterator[str] | None]
+
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _assignment_json(inter: dict[str, Value], name: Callable[[Value], str]) -> dict[str, str]:
+    return {atom: name(v) for atom, v in inter.items()}
+
+
+def _assignment_str(assignment: dict[str, str]) -> str:
+    return ", ".join(f"{name}={assignment[name]}" for name in sorted(assignment))
+
+
+def _tree(f: Formula) -> dict:
+    tree = {"type": type(f).__name__.lower()}
+    for name, field in zip(f._fields, f[1:]):
+        tree[name] = field if isinstance(field, str) else _tree(field)
+    return tree
+
+
+# --------------------------------------------------------------------------
+# Subcommands
+
+def cmd_parse(args: argparse.Namespace) -> _Result:
+    f = args.formula
+    text = format_formula(f)
+    return 0, {"formula": text, "variables": variables(f), "tree": _tree(f)}, text
+
+
 def cmd_eval(args: argparse.Namespace) -> _Result:
-    f = parse(args.formula)
-    assignment = _parse_bindings(args.bindings, variables(f))
-    value = _value_str(evaluate(f, assignment), args)
-    return 0, {"formula": format_formula(f), "assignment": _assignment_json(assignment, args),
+    f, assignment, name = args.formula, args.bindings, args.value_name
+    value = name(evaluate(f, assignment))
+    return 0, {"formula": format_formula(f), "assignment": _assignment_json(assignment, name),
                "value": value}, value
 
 
@@ -168,35 +197,33 @@ def _json_rows(record: dict, rows: Iterable[dict]) -> Iterator[str]:
 
 
 def cmd_truthtable(args: argparse.Namespace) -> _Result:
-    f = parse(args.formula)
+    f, name = args.formula, args.value_name
     rows = truth_rows(f, args.cap)  # refuses a formula over the cap before any row
-    names, text = variables(f), format_formula(f)
-    # a row per interpretation (4**n): render only the format asked for, a row at a time
-    if args.format == "json":
-        return 0, _json_rows({"formula": text, "variables": names},
-                             ({"assignment": _assignment_json(inter, args),
-                               "value": _value_str(value, args)} for inter, value in rows)), None
-    return 0, None, chain([" ".join(names) + " | " + text + "\n"],
-                          (" ".join(_value_str(inter[name], args) for name in names)
-                           + " | " + _value_str(value, args) + "\n" for inter, value in rows))
+    atoms, text = variables(f), format_formula(f)
+    # a row per interpretation (4**n): both renderings read the one row iterator
+    # lazily, a row at a time, and ``run`` consumes only the one it writes
+    record = _json_rows({"formula": text, "variables": atoms},
+                        ({"assignment": _assignment_json(inter, name), "value": name(value)}
+                         for inter, value in rows))
+    return 0, record, chain([" ".join(atoms) + " | " + text + "\n"],
+                            (" ".join(name(inter[atom]) for atom in atoms) + " | " + name(value)
+                             + "\n" for inter, value in rows))
 
 
 def cmd_conseq(args: argparse.Namespace) -> _Result:
-    s = parse_sequent(args.sequent)
-    verdict = is_consequence(s, args.cap)
-    record = {"sequent": format_sequent(s), "valid": verdict.valid, "countermodel": None,
-              "checked": verdict.checked}
+    verdict = is_consequence(args.sequent, args.cap)
+    record = {"sequent": format_sequent(args.sequent), "valid": verdict.valid,
+              "countermodel": None, "checked": verdict.checked}
     if verdict.valid:
         return 0, record, "valid"
-    record["countermodel"] = model = _assignment_json(verdict.witness, args)
+    record["countermodel"] = model = _assignment_json(verdict.witness, args.value_name)
     return 1, record, "invalid\ncountermodel: " + _assignment_str(model)
 
 
 def cmd_countermodel(args: argparse.Namespace) -> _Result:
-    s = parse_sequent(args.sequent)
-    witness = countermodel(s, args.cap)
-    model = None if witness is None else _assignment_json(witness, args)
-    record = {"sequent": format_sequent(s), "countermodel": model}
+    witness = countermodel(args.sequent, args.cap)
+    model = None if witness is None else _assignment_json(witness, args.value_name)
+    record = {"sequent": format_sequent(args.sequent), "countermodel": model}
     if model is None:
         return 0, record, "none (sequent is valid)"
     return 1, record, _assignment_str(model)
@@ -225,20 +252,19 @@ def cmd_check_proof(args: argparse.Namespace) -> _Result:
 
 
 def cmd_search_proof(args: argparse.Namespace) -> _Result:
-    s = parse_sequent(args.sequent)
-    derivation = search(s, args.depth)
+    derivation = search(args.sequent, args.depth)
     if derivation is not None:
         return 0, {"found": True, "derivation": to_json_dict(derivation)}, (
             render_derivation(derivation))
     _load("matrix")  # search loads matrix only if it reached a case split
     try:  # within the default cap, tell an invalid sequent from a miss
-        witness = is_consequence(s).witness
+        witness = is_consequence(args.sequent).witness
     except CapExceededError:
         witness = None
     record = {"found": False, "depth": args.depth}
     if witness is None:
         return 2, record, f"no derivation found within depth {args.depth}"
-    record["countermodel"] = model = _assignment_json(witness, args)
+    record["countermodel"] = model = _assignment_json(witness, args.value_name)
     return 1, record, "invalid\ncountermodel: " + _assignment_str(model)
 
 
@@ -278,35 +304,10 @@ def cmd_fc_closure(args: argparse.Namespace) -> _Result:
                         "complete: " + ("yes (all 256 unary functions)" if complete else "NO"))
 
 
-def _parse_fde_table(text: str) -> dict[FdeValue, FdeValue]:
-    mapping: dict[FdeValue, FdeValue] = {}
-    for part in text.split(","):
-        source, sep, target = part.partition(":")
-        if not sep:
-            raise UsageError(f"target entries look like t:f, got {part!r}")
-        try:
-            key, value = FdeValue(source.strip()), FdeValue(target.strip())
-        except ValueError:
-            raise UsageError(f"unknown value in {part!r} (use t, b, n, f)") from None
-        if key in mapping:
-            raise UsageError(f"target table gives {key} more than once")
-        mapping[key] = value
-    missing = [w.value for w in FdeValue if w not in mapping]
-    if missing:
-        raise UsageError(f"target table is missing {', '.join(missing)}")
-    return mapping
-
-
-def _transport_table(option_id: str, mapping: dict[FdeValue, FdeValue]) -> UnaryTable:
-    option = get_option(option_id)
-    inverse = {w: v for v, w in option.value_map.items()}
-    return UnaryTable(tuple(inverse[mapping[option.value_map[v]]] for v in CANONICAL_ORDER))
-
-
 def cmd_fc_find(args: argparse.Namespace) -> _Result:
-    target = _transport_table(args.option or "O1", _parse_fde_table(args.target))
-    term = format_formula(find_term_for_unary(target))
-    return 0, {"found": True, "target": str(target), "term": term}, f"{term}\ntable: {target}"
+    term = format_formula(find_term_for_unary(args.target))
+    return 0, {"found": True, "target": str(args.target), "term": term}, (
+        f"{term}\ntable: {args.target}")
 
 
 def cmd_options_table(args: argparse.Namespace) -> _Result:
@@ -319,9 +320,8 @@ def cmd_options_table(args: argparse.Namespace) -> _Result:
 
 
 def cmd_options_compare(args: argparse.Namespace) -> _Result:
-    f = parse(args.formula)
     ids = [args.option] if args.option else list(OPTIONS)
-    reports = [check_option_equivalence(get_option(i), f, args.cap) for i in ids]
+    reports = [check_option_equivalence(get_option(i), args.formula, args.cap) for i in ids]
     lines = []
     for r in reports:
         if r.ok:
@@ -385,9 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
          ("matrix",), [fmt, cap, option_fde], "sequent")
     verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof,
          ("nd",), [fmt], "file")
-    p = verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
-             ("nd", "prove"), [depth, fmt], "sequent")
-    p.set_defaults(fde=False)  # an invalid sequent's countermodel prints matrix values
+    verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
+         ("nd", "prove"), [depth, fmt], "sequent")
     verb(sub, "corpus", "list the bundled derivations", cmd_corpus, ("nd",), [fmt])
 
     p = sub.add_parser("fc", help="functional completeness tools")
@@ -454,7 +453,7 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         _load(*args.layers)
-        _resolve_settings(args)
+        _settle(args)
         code, record, text = args.func(args)
         if not _write(record if args.format == "json" else text, args.format == "json"):
             return 3

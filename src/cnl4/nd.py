@@ -60,6 +60,8 @@ class Rule(Enum):
     NOR_I_R = "NOrI_R"
     NOR_E = "NOrE"
 
+    __hash__ = object.__hash__  # by identity, in C: Enum's own runs Python code per _ARITY read
+
 
 # a ``Rule.X`` read runs the enum metaclass's __getattr__: 16 globals' worth
 (HYP, AND_I, AND_E_L, AND_E_R, OR_I_L, OR_I_R, OR_E, NN1, NN2,
@@ -70,6 +72,10 @@ _DISCHARGING = (OR_E, NOR_E)
 DISCHARGING_RULES = frozenset(_DISCHARGING)
 
 _RULE_OF_NAME = {rule.value: rule for rule in Rule}
+#: How many premises a node of each rule has.
+_ARITY = {HYP: 0, NN2: 0, AND_I: 2, NN1: 2, NAND_I: 2, OR_E: 3, NOR_E: 3,
+          **dict.fromkeys((AND_E_L, AND_E_R, OR_I_L, OR_I_R,
+                           NAND_E_L, NAND_E_R, NOR_I_L, NOR_I_R), 1)}
 
 
 class Derivation(NamedTuple):
@@ -228,8 +234,8 @@ def _fail(rule: Rule | None, message: str) -> None:
     raise DerivationError((), rule, message)
 
 
-def _expect_arity(rule: Rule, premises: tuple[Derivation, ...], n: int) -> None:
-    if len(premises) != n:
+def _expect_arity(rule: Rule, premises: tuple[Derivation, ...]) -> None:
+    if len(premises) != (n := _ARITY[rule]):
         _fail(rule, f"expected {n} premises, found {len(premises)}")
 
 
@@ -282,14 +288,12 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
     if (discharge is not None) != (rule in _DISCHARGING):
         _fail(rule, "only OrE/NOrE nodes carry discharge labels")
 
-    if rule is HYP:
-        _expect_arity(rule, premises, 0)
-        if not label:
-            _fail(rule, "hypothesis label must be a non-empty string")
-        return {label: {id(c): c}}, set()
-
-    if rule is NN2:
-        _expect_arity(rule, premises, 0)
+    if rule is HYP or rule is NN2:  # leaves: no premises to check first
+        _expect_arity(rule, premises)
+        if rule is HYP:
+            if not label:
+                _fail(rule, "hypothesis label must be a non-empty string")
+            return {label: {id(c): c}}, set()
         if not (isinstance(c, Or) and _is_double_negation(c.right, c.left)):
             _fail(rule, "conclusion must have the form A | ~~A")
         return {}, set()
@@ -304,31 +308,27 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
         exc.path = (len(results),) + exc.path
         raise
 
+    _expect_arity(rule, premises)
     if rule is AND_I:
-        _expect_arity(rule, premises, 2)
         if not (isinstance(c, And) and (c.left, c.right) == (concs[0], concs[1])):
             _fail(rule, "conclusion must conjoin the two premises in order")
     elif rule is AND_E_L or rule is AND_E_R:
-        _expect_arity(rule, premises, 1)
         if not isinstance(concs[0], And):
             _fail(rule, "premise must be a conjunction")
         wanted = concs[0].left if rule is AND_E_L else concs[0].right
         if c != wanted:
             _fail(rule, f"conclusion must be {format_formula(wanted)}")
     elif rule is OR_I_L or rule is OR_I_R:
-        _expect_arity(rule, premises, 1)
         if not isinstance(c, Or):
             _fail(rule, "conclusion must be a disjunction")
         own = c.left if rule is OR_I_L else c.right
         if own != concs[0]:
             _fail(rule, "premise must be the matching disjunct")
     elif rule is NN1:
-        _expect_arity(rule, premises, 2)
         if not _is_double_negation(concs[1], concs[0]):
             _fail(rule, "second premise must be the double negation of the first")
         # conclusion arbitrary
     elif rule is NAND_I:
-        _expect_arity(rule, premises, 2)
         if not (isinstance(concs[0], Neg) and isinstance(concs[1], Neg)):
             _fail(rule, "premises must be negations")
         if not (isinstance(c, Neg) and isinstance(c.body, And)
@@ -336,14 +336,12 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
             _fail(rule, "conclusion must negate the conjunction of "
                         "the premises' bodies")
     elif rule is NAND_E_L or rule is NAND_E_R:
-        _expect_arity(rule, premises, 1)
         if not (isinstance(concs[0], Neg) and isinstance(concs[0].body, And)):
             _fail(rule, "premise must be a negated conjunction")
         conjunct = concs[0].body.left if rule is NAND_E_L else concs[0].body.right
         if not (isinstance(c, Neg) and c.body == conjunct):
             _fail(rule, f"conclusion must be {format_formula(Neg(conjunct))}")
     elif rule is NOR_I_L or rule is NOR_I_R:
-        _expect_arity(rule, premises, 1)
         if not isinstance(concs[0], Neg):
             _fail(rule, "premise must be a negation")
         if not (isinstance(c, Neg) and isinstance(c.body, Or)):
@@ -352,7 +350,6 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
         if own != concs[0].body:
             _fail(rule, "premise must negate the matching disjunct")
     else:  # OrE, NOrE
-        _expect_arity(rule, premises, 3)
         if rule is OR_E:
             if not isinstance(concs[0], Or):
                 _fail(rule, "major premise must be a disjunction")

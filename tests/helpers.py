@@ -34,7 +34,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, product
+from operator import itemgetter
 
 from hypothesis import strategies as st
 
@@ -860,31 +862,53 @@ def designated_truth_sets(option: OptionReading) -> frozenset[TruthSet]:
     return frozenset(correspond(option, v) for v in DESIGNATED)
 
 
+def _reference_evaluator(f: Formula, names: list[str], neg: list, conj: list, disj: list):
+    """``f`` as a function of a tuple of value indices, one per name in ``names``,
+    by recursion over the connective tables given as index tables."""
+    if isinstance(f, Atom):
+        return itemgetter(names.index(f.name))
+    if isinstance(f, Neg):
+        body = _reference_evaluator(f.body, names, neg, conj, disj)
+        return lambda values: neg[body(values)]
+    if isinstance(f, (And, Or)):
+        table = conj if isinstance(f, And) else disj
+        left = _reference_evaluator(f.left, names, neg, conj, disj)
+        right = _reference_evaluator(f.right, names, neg, conj, disj)
+        return lambda values: table[left(values)][right(values)]
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def reference_consequence(
     s: Sequent, option: OptionReading | None = None,
 ) -> tuple[bool, dict | None, int]:
     """``(valid, first witness, checked)`` by enumerating interpretations
     in :data:`WITNESS_ORDER` (its image under ``option``, which selects
     the option's clauses), evaluating each formula with the reference
-    evaluators."""
+    evaluators.  Each connective's table is read off them once, over
+    indices into that order, and each formula is built into a function of
+    those indices once per sequent."""
     names = sequent_variables(s)
     if option is None:
-        order = WITNESS_ORDER
-
-        def designated(f, inter):
-            return reference_evaluate(f, inter) in DESIGNATED
+        order, evaluate, designated = WITNESS_ORDER, reference_evaluate, DESIGNATED.__contains__
     else:
         order = [correspond(option, v) for v in WITNESS_ORDER]
+        evaluate = partial(reference_rel_eval, option)
+        designated = partial(reference_rel_designated, option)
+    a, b, indices = Atom("a"), Atom("b"), range(len(order))
 
-        def designated(f, inter):
-            return reference_rel_designated(option, reference_rel_eval(option, f, inter))
+    def table(f: Formula) -> list[list[int]]:
+        return [[order.index(evaluate(f, {"a": order[x], "b": order[y]})) for y in indices]
+                for x in indices]
+    neg = [row[0] for row in table(Neg(a))]
+    conj, disj = table(And(a, b)), table(Or(a, b))
+    good = [designated(v) for v in order]
+    premises = [_reference_evaluator(p, names, neg, conj, disj) for p in s.premises]
+    conclusion = _reference_evaluator(s.conclusion, names, neg, conj, disj)
     checked = 0
-    for values in product(order, repeat=len(names)):
-        inter = dict(zip(names, values))
+    for values in product(indices, repeat=len(names)):
         checked += 1
-        if all(designated(p, inter) for p in s.premises):
-            if not designated(s.conclusion, inter):
-                return False, inter, checked
+        if all(good[p(values)] for p in premises) and not good[conclusion(values)]:
+            return False, {name: order[v] for name, v in zip(names, values)}, checked
     return True, None, checked
 
 

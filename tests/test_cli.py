@@ -207,6 +207,18 @@ def test_truthtable_memory_stays_at_a_block(monkeypatch, output) -> None:
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_fde_names_every_value_from_one_option_read(capsys, monkeypatch, output) -> None:
+    cli._load("relational")
+    reads = []
+    monkeypatch.setattr(cli, "get_option", lambda option_id: reads.append(option_id)
+                        or OPTIONS[option_id])
+    code, out, _ = invoke(capsys, "truthtable", "a & b", "--fde", "--option", "O3",
+                          "--format", output)
+    assert (code, reads) == (0, ["O3"])
+    assert out == reference_truthtable_output(parse("a & b"), output == "json", "O3")
+
+
 # ---------------------------------------------------------------------------
 # conseq / countermodel
 
@@ -685,19 +697,41 @@ def test_a_failed_write_keeps_its_exit_code_past_the_flush_at_exit() -> None:
         3, "cnl4: cannot write output: [Errno 28] No space left on device\n")
 
 
-def test_verbs_write_to_stdout_only_through_run() -> None:
+def _verb_nodes() -> list[tuple[str, ast.AST]]:
+    """Every AST node inside a ``cmd_*`` function of ``cli``, with the verb's name."""
     with open(cli.__file__, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
+    return [(func.name, node) for func in tree.body
+            if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")
+            for node in ast.walk(func)]
+
+
+def test_verbs_write_to_stdout_only_through_run() -> None:
     prints = [
-        (func.name, node.lineno)
-        for func in tree.body if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")
-        for node in ast.walk(func)
+        (name, node.lineno) for name, node in _verb_nodes()
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "print"
         and not any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
                     for kw in node.keywords)
     ]
     assert prints == []
+
+
+def test_verbs_take_their_inputs_parsed() -> None:
+    # run settles the formula, sequent, bindings and target before a verb runs
+    parsing = [
+        (name, node.func.id) for name, node in _verb_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("parse", "parse_sequent", "_parse_bindings", "_parse_fde_table")
+    ]
+    assert parsing == []
+
+
+def test_only_verbs_whose_result_differs_by_format_read_it() -> None:
+    # a truth table renders both formats lazily over one row iterator instead
+    readers = {name for name, node in _verb_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "format"}
+    assert readers == {"cmd_check_proof", "cmd_fc_closure"}
 
 
 def test_unknown_command(capsys) -> None:
