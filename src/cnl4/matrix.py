@@ -30,6 +30,8 @@ class Value(Enum):
     VJ = "j"
     V0 = "0"
 
+    __hash__ = object.__hash__  # by identity, in C: Enum's own runs Python code per lookup
+
     def __str__(self) -> str:
         return self.value
 

@@ -89,65 +89,54 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
         return hyp(label, goal)
 
     # shapes are tested in place: building ~~A just to compare costs two nodes
-    if isinstance(goal, Or) and _is_double_negation(goal.right, goal.left):
-        return nn2(goal.left)
+    if type(goal) is Or and _is_double_negation(goal[2], goal[1]):
+        return nn2(goal[1])
 
     if depth >= 2:
         doubled = [(label, g) for label, g in assumptions
-                   if isinstance(g, Neg) and isinstance(g.body, Neg)]
+                   if type(g) is Neg and type(g[1]) is Neg]
         for label_a, f in assumptions:
             for label_nn, g in doubled:
-                if g.body.body == f:
+                if g[1][1] == f:
                     return nn1(hyp(label_a, f), hyp(label_nn, g), goal)
 
-        # introduction rules on the goal's shape
-        if isinstance(goal, And):
-            left = _prove(goal.left, assumptions, depth - 1, state)
+        # a goal is a body, negated or not: NAnd and NOr push ~ through & and |
+        negated = type(goal) is Neg
+        body = goal[1] if negated else goal
+        if type(body) is And:  # both parts: the body's children, negated with the goal
+            left = _prove(Neg(body[1]) if negated else body[1], assumptions, depth - 1, state)
             if left is not None:
-                right = _prove(goal.right, assumptions, depth - 1, state)
+                right = _prove(Neg(body[2]) if negated else body[2], assumptions, depth - 1, state)
                 if right is not None:
-                    return and_i(left, right)
-        elif isinstance(goal, Or):
-            left = _prove(goal.left, assumptions, depth - 1, state)
+                    return (nand_i if negated else and_i)(left, right)
+        elif type(body) is Or:  # either part; its rule takes the other child un-negated
+            left = _prove(Neg(body[1]) if negated else body[1], assumptions, depth - 1, state)
             if left is not None:
-                return or_i_l(left, goal.right)
-            right = _prove(goal.right, assumptions, depth - 1, state)
+                return (nor_i_l if negated else or_i_l)(left, body[2])
+            right = _prove(Neg(body[2]) if negated else body[2], assumptions, depth - 1, state)
             if right is not None:
-                return or_i_r(right, goal.left)
-        elif isinstance(goal, Neg) and isinstance(goal.body, And):
-            left = _prove(Neg(goal.body.left), assumptions, depth - 1, state)
-            if left is not None:
-                right = _prove(Neg(goal.body.right), assumptions, depth - 1, state)
-                if right is not None:
-                    return nand_i(left, right)
-        elif isinstance(goal, Neg) and isinstance(goal.body, Or):
-            left = _prove(Neg(goal.body.left), assumptions, depth - 1, state)
-            if left is not None:
-                return nor_i_l(left, goal.body.right)
-            right = _prove(Neg(goal.body.right), assumptions, depth - 1, state)
-            if right is not None:
-                return nor_i_r(right, goal.body.left)
+                return (nor_i_r if negated else or_i_r)(right, body[1])
 
-        # single-step eliminations from assumptions
+        # single-step eliminations from A & B, and from ~(A & B) toward ~A or ~B
         for label_a, f in assumptions:
-            if isinstance(f, And):
-                if f.left == goal:
+            if type(f) is And:
+                if f[1] == goal:
                     return and_e_l(hyp(label_a, f))
-                if f.right == goal:
+                if f[2] == goal:
                     return and_e_r(hyp(label_a, f))
-            if isinstance(f, Neg) and isinstance(f.body, And) and isinstance(goal, Neg):
-                if goal.body == f.body.left:
+            elif negated and type(f) is Neg and type(f[1]) is And:
+                if body == f[1][1]:
                     return nand_e_l(hyp(label_a, f))
-                if goal.body == f.body.right:
+                if body == f[1][2]:
                     return nand_e_r(hyp(label_a, f))
 
-        # case analysis, tried last
+        # case analysis on A | B or ~(A | B), tried last
         for label_a, f in assumptions:
-            if isinstance(f, Or):
-                cases: tuple[Formula, Formula] = (f.left, f.right)
+            if type(f) is Or:
+                cases: tuple[Formula, Formula] = (f[1], f[2])
                 build = or_e
-            elif isinstance(f, Neg) and isinstance(f.body, Or):
-                cases = (Neg(f.body.left), Neg(f.body.right))
+            elif type(f) is Neg and type(f[1]) is Or:
+                cases = (Neg(f[1][1]), Neg(f[1][2]))
                 build = nor_e
             else:
                 continue

@@ -55,6 +55,8 @@ class FdeValue(Enum):
     N = "n"
     F = "f"
 
+    __hash__ = object.__hash__  # by identity, in C: Enum's own runs Python code per lookup
+
     def __str__(self) -> str:
         return self.value
 

@@ -22,9 +22,12 @@ keeps.
 The reference release lists are ``engine.Program``'s set computation, which
 its one-pass last-reader walk replaced; the two must give the same lists.
 The reference search checks the sequent against the matrix before it
-searches; ``prove.search``, which checks at its first case split, must find
-the same derivation.  The reference corpus is built by the rule builders,
-as ``nd.corpus`` was before it read its entries from a data file.  The reference truth-table output renders the whole
+searches, and then runs the reference search body, which spelled out one
+introduction block per rule (``&``, ``|``, ``~&``, ``~|``) before
+``prove._prove`` read a goal as two shapes; ``prove.search``, which checks
+at its first case split, must find the same derivation, labels included.
+The reference corpus is built by the rule builders, as ``nd.corpus`` was
+before it read its entries from a data file.  The reference truth-table output renders the whole
 table at once, as ``cnl4 truthtable`` did before it streamed its rows; the
 CLI's stdout must equal it byte for byte.
 """
@@ -76,6 +79,7 @@ from cnl4.nd import (
     Derivation,
     DerivationError,
     Rule,
+    _is_double_negation,
     and_e_l,
     and_e_r,
     and_i,
@@ -92,6 +96,7 @@ from cnl4.nd import (
     or_i_l,
     or_i_r,
 )
+from cnl4.prove import _find
 from cnl4.relational import (
     FalsityStyle,
     Mismatch,
@@ -473,11 +478,14 @@ def _check(d: Derivation, path: tuple[int, ...]) -> tuple[_Open, set[str]]:
 
 # The reference search: ``search`` as it was before its matrix check
 # moved to the first case split.  It checks the sequent first and only then
-# runs the search body, which finds the verdict already made.  ``search``
-# must give the same result, labels included, on every sequent.
+# runs the search body, which finds the verdict already made.  The body is
+# ``prove._prove`` as it was before it read a goal as one of two shapes: it
+# tries the introductions for ``&``, ``|``, ``~&`` and ``~|`` in four
+# blocks.  ``search`` must give the same result, labels included, on every
+# sequent.
 
 def reference_search(s: Sequent, depth: int) -> Derivation | None:
-    """``search`` in the eager order: the matrix check, then ``_prove``."""
+    """``search`` in the eager order: the matrix check, then ``reference_prove``."""
     try:
         if not is_consequence(s).valid:
             return None
@@ -486,7 +494,92 @@ def reference_search(s: Sequent, depth: int) -> Derivation | None:
     state = prove._Search(s)
     state.valid = True
     assumptions = [(f"p{i}", p) for i, p in enumerate(dict.fromkeys(s.premises), 1)]
-    return prove._prove(s.conclusion, assumptions, depth, state)
+    return reference_prove(s.conclusion, assumptions, depth, state)
+
+
+def reference_prove(goal: Formula, assumptions: list[tuple[str, Formula]],
+                    depth: int, state: prove._Search) -> Derivation | None:
+    """``prove._prove`` with one introduction block per rule."""
+    label = _find(assumptions, goal)
+    if label is not None:
+        return hyp(label, goal)
+
+    # shapes are tested in place: building ~~A just to compare costs two nodes
+    if isinstance(goal, Or) and _is_double_negation(goal.right, goal.left):
+        return nn2(goal.left)
+
+    if depth >= 2:
+        doubled = [(label, g) for label, g in assumptions
+                   if isinstance(g, Neg) and isinstance(g.body, Neg)]
+        for label_a, f in assumptions:
+            for label_nn, g in doubled:
+                if g.body.body == f:
+                    return nn1(hyp(label_a, f), hyp(label_nn, g), goal)
+
+        # introduction rules on the goal's shape
+        if isinstance(goal, And):
+            left = reference_prove(goal.left, assumptions, depth - 1, state)
+            if left is not None:
+                right = reference_prove(goal.right, assumptions, depth - 1, state)
+                if right is not None:
+                    return and_i(left, right)
+        elif isinstance(goal, Or):
+            left = reference_prove(goal.left, assumptions, depth - 1, state)
+            if left is not None:
+                return or_i_l(left, goal.right)
+            right = reference_prove(goal.right, assumptions, depth - 1, state)
+            if right is not None:
+                return or_i_r(right, goal.left)
+        elif isinstance(goal, Neg) and isinstance(goal.body, And):
+            left = reference_prove(Neg(goal.body.left), assumptions, depth - 1, state)
+            if left is not None:
+                right = reference_prove(Neg(goal.body.right), assumptions, depth - 1, state)
+                if right is not None:
+                    return nand_i(left, right)
+        elif isinstance(goal, Neg) and isinstance(goal.body, Or):
+            left = reference_prove(Neg(goal.body.left), assumptions, depth - 1, state)
+            if left is not None:
+                return nor_i_l(left, goal.body.right)
+            right = reference_prove(Neg(goal.body.right), assumptions, depth - 1, state)
+            if right is not None:
+                return nor_i_r(right, goal.body.left)
+
+        # single-step eliminations from assumptions
+        for label_a, f in assumptions:
+            if isinstance(f, And):
+                if f.left == goal:
+                    return and_e_l(hyp(label_a, f))
+                if f.right == goal:
+                    return and_e_r(hyp(label_a, f))
+            if isinstance(f, Neg) and isinstance(f.body, And) and isinstance(goal, Neg):
+                if goal.body == f.body.left:
+                    return nand_e_l(hyp(label_a, f))
+                if goal.body == f.body.right:
+                    return nand_e_r(hyp(label_a, f))
+
+        # case analysis, tried last
+        for label_a, f in assumptions:
+            if isinstance(f, Or):
+                cases: tuple[Formula, Formula] = (f.left, f.right)
+                build = or_e
+            elif isinstance(f, Neg) and isinstance(f.body, Or):
+                cases = (Neg(f.body.left), Neg(f.body.right))
+                build = nor_e
+            else:
+                continue
+            if not state.may_split():  # invalid: no split can find a derivation
+                return None
+            label_l = f"h{next(state.labels)}"
+            label_r = f"h{next(state.labels)}"
+            left = reference_prove(goal, assumptions + [(label_l, cases[0])], depth - 1, state)
+            if left is None:
+                continue
+            right = reference_prove(goal, assumptions + [(label_r, cases[1])], depth - 1, state)
+            if right is None:
+                continue
+            return build(hyp(label_a, f), left, right, (label_l, label_r))
+
+    return None
 
 
 # The reference corpus: the bundled derivations as the rule builders made

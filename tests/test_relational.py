@@ -138,6 +138,13 @@ def test_rel_eval_refuses_values_that_are_not_truth_sets(value, shown: str) -> N
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("cls", [Value, FdeValue])
+def test_value_names_hash_by_identity(cls) -> None:
+    # Enum's own __hash__ runs Python code on every lookup of a value-keyed
+    # dict, such as the option tables and the --fde name table
+    assert cls.__hash__ is object.__hash__
+
+
 def test_truth_sets_are_immutable_values() -> None:
     assert TruthSet(True, False) == JUST_1 and hash(TruthSet(True, False)) == hash(JUST_1)
     assert JUST_1 != (True, False) and JUST_1 != JUST_0
