@@ -1,10 +1,10 @@
 """Natural deduction: derivation trees, checking, JSON, bundled corpus.
 
-The calculus has fifteen rules.  Alongside the usual introduction and
-elimination rules for & and |, double negation is governed by two rules
-(from A and ~~A infer anything; A | ~~A as a premise-free axiom) and the
-remaining rules push ~ through & and | in both directions, with a case
-rule over ~(A | B) mirroring disjunction elimination.
+The calculus is ``Hyp``, ``NN1`` (from A and ~~A infer anything), ``NN2``
+(A | ~~A, a premise-free axiom) and four schemas: &-intro, &-elim, |-intro
+and |-elim, each read plain or under ~.  Under ~ a schema's formulas are
+negated (``NAndI``, ``NAndE_L``, ...), except |-elim's case conclusions:
+``NOrE`` is the case rule over ~(A | B).
 
 Derivations are finite trees.  ``Hyp`` leaves carry a label; ``OrE`` and
 ``NOrE`` nodes carry a pair of labels naming the hypotheses their second
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from . import _bind, _lazy_getattr
@@ -72,10 +73,21 @@ _DISCHARGING = (OR_E, NOR_E)
 DISCHARGING_RULES = frozenset(_DISCHARGING)
 
 _RULE_OF_NAME = {rule.value: rule for rule in Rule}
+
+# The four schemas of the &/| rules, each with its number of premises.
+_AND_INTRO, _AND_ELIM, _OR_INTRO, _OR_ELIM = ("&I", 2), ("&E", 1), ("|I", 1), ("|E", 3)
+#: Each &/| rule as (schema, read under ~, side): the side is None, or 1 or 2, the
+#: field index of the left or right part it takes or builds (``And(a, b)`` is ``(And, a, b)``).
+_SCHEMA = {
+    AND_I: (_AND_INTRO, False, None), NAND_I: (_AND_INTRO, True, None),
+    AND_E_L: (_AND_ELIM, False, 1), AND_E_R: (_AND_ELIM, False, 2),
+    NAND_E_L: (_AND_ELIM, True, 1), NAND_E_R: (_AND_ELIM, True, 2),
+    OR_I_L: (_OR_INTRO, False, 1), OR_I_R: (_OR_INTRO, False, 2),
+    NOR_I_L: (_OR_INTRO, True, 1), NOR_I_R: (_OR_INTRO, True, 2),
+    OR_E: (_OR_ELIM, False, None), NOR_E: (_OR_ELIM, True, None),
+}
 #: How many premises a node of each rule has.
-_ARITY = {HYP: 0, NN2: 0, AND_I: 2, NN1: 2, NAND_I: 2, OR_E: 3, NOR_E: 3,
-          **dict.fromkeys((AND_E_L, AND_E_R, OR_I_L, OR_I_R,
-                           NAND_E_L, NAND_E_R, NOR_I_L, NOR_I_R), 1)}
+_ARITY = {HYP: 0, NN2: 0, NN1: 2, **{rule: schema[1] for rule, (schema, _, _) in _SCHEMA.items()}}
 
 
 class Derivation(NamedTuple):
@@ -123,39 +135,11 @@ class ProofFormatError(Exception):
 
 # --------------------------------------------------------------------------
 # Builders.  These compute the conclusion a rule instance must carry;
-# check() remains the authority on well-formedness.
+# check() remains the authority on well-formedness.  The &/| rules' builders
+# are one builder per schema, bound to the rule, which under ~ reads bodies.
 
 def hyp(label: str, f: Formula) -> Derivation:
     return Derivation(HYP, f, label=label)
-
-
-def and_i(left: Derivation, right: Derivation) -> Derivation:
-    return Derivation(AND_I, And(left.conclusion, right.conclusion), (left, right))
-
-
-def and_e_l(premise: Derivation) -> Derivation:
-    if not isinstance(premise.conclusion, And):
-        raise ValueError("AndE_L needs a conjunction premise")
-    return Derivation(AND_E_L, premise.conclusion.left, (premise,))
-
-
-def and_e_r(premise: Derivation) -> Derivation:
-    if not isinstance(premise.conclusion, And):
-        raise ValueError("AndE_R needs a conjunction premise")
-    return Derivation(AND_E_R, premise.conclusion.right, (premise,))
-
-
-def or_i_l(premise: Derivation, right: Formula) -> Derivation:
-    return Derivation(OR_I_L, Or(premise.conclusion, right), (premise,))
-
-
-def or_i_r(premise: Derivation, left: Formula) -> Derivation:
-    return Derivation(OR_I_R, Or(left, premise.conclusion), (premise,))
-
-
-def or_e(major: Derivation, left: Derivation, right: Derivation,
-         labels: tuple[str, str]) -> Derivation:
-    return Derivation(OR_E, left.conclusion, (major, left, right), discharge=labels)
 
 
 def nn1(first: Derivation, second: Derivation, conclusion: Formula) -> Derivation:
@@ -166,43 +150,59 @@ def nn2(a: Formula) -> Derivation:
     return Derivation(NN2, Or(a, Neg(Neg(a))))
 
 
-def nand_i(left: Derivation, right: Derivation) -> Derivation:
-    if not (isinstance(left.conclusion, Neg) and isinstance(right.conclusion, Neg)):
-        raise ValueError("NAndI needs two negation premises")
-    return Derivation(NAND_I,
-                      Neg(And(left.conclusion.body, right.conclusion.body)),
-                      (left, right))
+def _body(f: Formula) -> Formula | None:
+    return f.body if isinstance(f, Neg) else None  # None: f is no negation
 
 
-def nand_e_l(premise: Derivation) -> Derivation:
-    c = premise.conclusion
-    if not (isinstance(c, Neg) and isinstance(c.body, And)):
-        raise ValueError("NAndE_L needs a negated conjunction premise")
-    return Derivation(NAND_E_L, Neg(c.body.left), (premise,))
+def _and_intro(rule: Rule, left: Derivation, right: Derivation) -> Derivation:
+    _, negated, _ = _SCHEMA[rule]
+    a, b = left.conclusion, right.conclusion
+    if negated:
+        if not (isinstance(a, Neg) and isinstance(b, Neg)):
+            raise ValueError(f"{rule.value} needs two negation premises")
+        a, b = a.body, b.body
+    c = And(a, b)
+    return Derivation(rule, Neg(c) if negated else c, (left, right))
 
 
-def nand_e_r(premise: Derivation) -> Derivation:
-    c = premise.conclusion
-    if not (isinstance(c, Neg) and isinstance(c.body, And)):
-        raise ValueError("NAndE_R needs a negated conjunction premise")
-    return Derivation(NAND_E_R, Neg(c.body.right), (premise,))
+def _and_elim(rule: Rule, premise: Derivation) -> Derivation:
+    _, negated, side = _SCHEMA[rule]
+    f = premise.conclusion
+    if negated:
+        f = _body(f)
+    if not isinstance(f, And):
+        raise ValueError(f"{rule.value} needs a {'negated ' if negated else ''}conjunction premise")
+    return Derivation(rule, Neg(f[side]) if negated else f[side], (premise,))
 
 
-def nor_i_l(premise: Derivation, right: Formula) -> Derivation:
-    if not isinstance(premise.conclusion, Neg):
-        raise ValueError("NOrI_L needs a negation premise")
-    return Derivation(NOR_I_L, Neg(Or(premise.conclusion.body, right)), (premise,))
+def _or_intro(rule: Rule, premise: Derivation, other: Formula) -> Derivation:
+    _, negated, side = _SCHEMA[rule]
+    f = premise.conclusion
+    if negated:
+        if not isinstance(f, Neg):
+            raise ValueError(f"{rule.value} needs a negation premise")
+        f = f.body
+    c = Or(f, other) if side == 1 else Or(other, f)
+    return Derivation(rule, Neg(c) if negated else c, (premise,))
 
 
-def nor_i_r(premise: Derivation, left: Formula) -> Derivation:
-    if not isinstance(premise.conclusion, Neg):
-        raise ValueError("NOrI_R needs a negation premise")
-    return Derivation(NOR_I_R, Neg(Or(left, premise.conclusion.body)), (premise,))
+def _or_elim(rule: Rule, major: Derivation, left: Derivation, right: Derivation,
+             labels: tuple[str, str]) -> Derivation:
+    return Derivation(rule, left.conclusion, (major, left, right), discharge=labels)
 
 
-def nor_e(major: Derivation, left: Derivation, right: Derivation,
-          labels: tuple[str, str]) -> Derivation:
-    return Derivation(NOR_E, left.conclusion, (major, left, right), discharge=labels)
+and_i = partial(_and_intro, AND_I)
+nand_i = partial(_and_intro, NAND_I)
+and_e_l = partial(_and_elim, AND_E_L)
+and_e_r = partial(_and_elim, AND_E_R)
+nand_e_l = partial(_and_elim, NAND_E_L)
+nand_e_r = partial(_and_elim, NAND_E_R)
+or_i_l = partial(_or_intro, OR_I_L)
+or_i_r = partial(_or_intro, OR_I_R)
+nor_i_l = partial(_or_intro, NOR_I_L)
+nor_i_r = partial(_or_intro, NOR_I_R)
+or_e = partial(_or_elim, OR_E)
+nor_e = partial(_or_elim, NOR_E)
 
 
 # --------------------------------------------------------------------------
@@ -309,75 +309,61 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
         raise
 
     _expect_arity(rule, premises)
-    if rule is AND_I:
-        if not (isinstance(c, And) and (c.left, c.right) == (concs[0], concs[1])):
-            _fail(rule, "conclusion must conjoin the two premises in order")
-    elif rule is AND_E_L or rule is AND_E_R:
-        if not isinstance(concs[0], And):
-            _fail(rule, "premise must be a conjunction")
-        wanted = concs[0].left if rule is AND_E_L else concs[0].right
-        if c != wanted:
-            _fail(rule, f"conclusion must be {format_formula(wanted)}")
-    elif rule is OR_I_L or rule is OR_I_R:
-        if not isinstance(c, Or):
-            _fail(rule, "conclusion must be a disjunction")
-        own = c.left if rule is OR_I_L else c.right
-        if own != concs[0]:
-            _fail(rule, "premise must be the matching disjunct")
-    elif rule is NN1:
+    if rule is NN1:  # conclusion arbitrary
         if not _is_double_negation(concs[1], concs[0]):
             _fail(rule, "second premise must be the double negation of the first")
-        # conclusion arbitrary
-    elif rule is NAND_I:
-        if not (isinstance(concs[0], Neg) and isinstance(concs[1], Neg)):
-            _fail(rule, "premises must be negations")
-        if not (isinstance(c, Neg) and isinstance(c.body, And)
-                and (c.body.left, c.body.right) == (concs[0].body, concs[1].body)):
-            _fail(rule, "conclusion must negate the conjunction of "
-                        "the premises' bodies")
-    elif rule is NAND_E_L or rule is NAND_E_R:
-        if not (isinstance(concs[0], Neg) and isinstance(concs[0].body, And)):
-            _fail(rule, "premise must be a negated conjunction")
-        conjunct = concs[0].body.left if rule is NAND_E_L else concs[0].body.right
-        if not (isinstance(c, Neg) and c.body == conjunct):
-            _fail(rule, f"conclusion must be {format_formula(Neg(conjunct))}")
-    elif rule is NOR_I_L or rule is NOR_I_R:
-        if not isinstance(concs[0], Neg):
+        return _merge(rule, results)
+
+    schema, negated, side = _SCHEMA[rule]
+    major = concs[0]
+    if negated:  # the bodies of the negated formulas: None where one is no negation
+        major = _body(major)
+        if schema is not _OR_ELIM:  # |-elim's conclusion stands as it is
+            c = _body(c)
+    if schema is _AND_INTRO:
+        minor = concs[1]
+        if negated:
+            if not (isinstance(concs[0], Neg) and isinstance(minor, Neg)):
+                _fail(rule, "premises must be negations")
+            minor = minor.body
+        if not (isinstance(c, And) and (c.left, c.right) == (major, minor)):
+            _fail(rule, "conclusion must negate the conjunction of the premises' bodies"
+                  if negated else "conclusion must conjoin the two premises in order")
+    elif schema is _AND_ELIM:
+        if not isinstance(major, And):
+            _fail(rule, f"premise must be a {'negated ' if negated else ''}conjunction")
+        if c != major[side]:
+            wanted = major[side]
+            _fail(rule, f"conclusion must be {format_formula(Neg(wanted) if negated else wanted)}")
+    elif schema is _OR_INTRO:
+        if negated and not isinstance(concs[0], Neg):
             _fail(rule, "premise must be a negation")
-        if not (isinstance(c, Neg) and isinstance(c.body, Or)):
-            _fail(rule, "conclusion must be a negated disjunction")
-        own = c.body.left if rule is NOR_I_L else c.body.right
-        if own != concs[0].body:
-            _fail(rule, "premise must negate the matching disjunct")
-    else:  # OrE, NOrE
-        if rule is OR_E:
-            if not isinstance(concs[0], Or):
-                _fail(rule, "major premise must be a disjunction")
-            case_l: Formula = concs[0].left
-            case_r: Formula = concs[0].right
-        else:
-            if not (isinstance(concs[0], Neg) and isinstance(concs[0].body, Or)):
-                _fail(rule, "major premise must be a negated disjunction")
-            case_l = Neg(concs[0].body.left)
-            case_r = Neg(concs[0].body.right)
+        if not isinstance(c, Or):
+            _fail(rule, f"conclusion must be a {'negated ' if negated else ''}disjunction")
+        if c[side] != major:
+            _fail(rule, "premise must negate the matching disjunct" if negated
+                  else "premise must be the matching disjunct")
+    else:  # _OR_ELIM
+        if not isinstance(major, Or):
+            _fail(rule, f"major premise must be a {'negated ' if negated else ''}disjunction")
+        case_l, case_r = major.left, major.right
+        if negated:  # the case formulas are negated too
+            case_l, case_r = Neg(case_l), Neg(case_r)
         if (concs[1], concs[2]) != (c, c):
             _fail(rule, "both case branches must conclude the node's conclusion")
         assert discharge is not None
         if len(discharge) != 2:
             _fail(rule, "discharge must name exactly two labels")
         label_l, label_r = discharge
-        open_major, dis_major = results[0]
-        open_l, dis_l = results[1]
-        open_r, dis_r = results[2]
+        (open_major, dis_major), (open_l, dis_l), (open_r, dis_r) = results
         for label in (label_l, label_r):
             if label in dis_major or label in dis_l or label in dis_r:
                 _fail(rule, f"label {label!r} is already discharged deeper in the tree")
         _discharge(rule, open_l, label_l, case_l)
         _discharge(rule, open_r, label_r, case_r)
-        if label_l in open_major or label_l in open_r:
-            _fail(rule, f"discharged label {label_l!r} is still open outside its case branch")
-        if label_r in open_major or label_r in open_l:
-            _fail(rule, f"discharged label {label_r!r} is still open outside its case branch")
+        for label, other_case in ((label_l, open_r), (label_r, open_l)):
+            if label in open_major or label in other_case:
+                _fail(rule, f"discharged label {label!r} is still open outside its case branch")
         open_map, discharged = _merge(rule, results)
         return open_map, discharged | {label_l, label_r}
 

@@ -306,8 +306,11 @@ def rules_used(d: Derivation) -> set[Rule]:
 # The reference checker: the proof checker as it was before it merged open
 # assumptions in place and compared formulas field by field.  It copies
 # every open map into a fresh one at each node, scans every pair of
-# siblings for clashes, and compares whole rebuilt formulas.  ``check``
-# must give the same result, or the same error, on every derivation.
+# siblings for clashes, and compares whole rebuilt formulas.  It keeps the
+# per-rule form, one branch for each rule or pair of mirrored rules, where
+# ``check`` reads the twelve &/| rules as four schemas, each plain or under
+# ~.  ``check`` must give the same result, or the same error, on every
+# derivation.
 
 # open hypotheses: label -> set of formulas it labels (normally a singleton)
 _Open = dict[str, set[Formula]]

@@ -237,6 +237,9 @@ _BUILDER_ERRORS = [
     (nd.nand_e_r, (hyp("h1", And(P, Q)),), "NAndE_R needs a negated conjunction premise"),
     (nd.nor_i_l, (hyp("h1", P), Q), "NOrI_L needs a negation premise"),
     (nd.nor_i_r, (hyp("h1", P), Q), "NOrI_R needs a negation premise"),
+    # a plain rule does not read through ~, and under ~ each premise must be a negation
+    (nd.and_e_l, (hyp("h1", Neg(And(P, Q))),), "AndE_L needs a conjunction premise"),
+    (nd.nand_i, (hyp("h1", P), hyp("h2", Neg(Q))), "NAndI needs two negation premises"),
 ]
 
 
@@ -246,6 +249,14 @@ def test_builders_refuse_premises_of_the_wrong_shape(build, args, message) -> No
     with pytest.raises(ValueError) as exc_info:
         build(*args)
     assert str(exc_info.value) == message
+
+
+def test_plain_builders_keep_the_negations_they_are_given() -> None:
+    np, nq = hyp("h1", Neg(P)), hyp("h2", Neg(Q))
+    assert or_i_l(np, Q).conclusion == Or(Neg(P), Q)
+    assert nd.or_i_r(np, Q).conclusion == Or(Q, Neg(P))
+    assert and_i(np, nq).conclusion == And(Neg(P), Neg(Q))
+    assert and_e_r(hyp("h3", And(P, Neg(Q)))).conclusion == Neg(Q)
 
 
 def test_one_label_bound_to_two_formulas_stays_open() -> None:
@@ -492,6 +503,51 @@ def test_check_agrees_with_the_reference_checker(d, seed) -> None:
         except ProofFormatError:
             continue
         assert _outcome(check, loaded) == expected
+
+
+#: The shape and conclusion messages of each schema, plain and under ~, with
+#: the rules that read it; a message that names a formula is given up to it.
+SCHEMA_MESSAGES = [
+    ((Rule.AND_I,), "conclusion must conjoin the two premises in order"),
+    ((Rule.NAND_I,), "premises must be negations"),
+    ((Rule.NAND_I,), "conclusion must negate the conjunction of the premises' bodies"),
+    ((Rule.AND_E_L, Rule.AND_E_R), "premise must be a conjunction"),
+    ((Rule.AND_E_L, Rule.AND_E_R), "conclusion must be "),
+    ((Rule.NAND_E_L, Rule.NAND_E_R), "premise must be a negated conjunction"),
+    ((Rule.NAND_E_L, Rule.NAND_E_R), "conclusion must be ~"),
+    ((Rule.OR_I_L, Rule.OR_I_R), "conclusion must be a disjunction"),
+    ((Rule.OR_I_L, Rule.OR_I_R), "premise must be the matching disjunct"),
+    ((Rule.NOR_I_L, Rule.NOR_I_R), "premise must be a negation"),
+    ((Rule.NOR_I_L, Rule.NOR_I_R), "conclusion must be a negated disjunction"),
+    ((Rule.NOR_I_L, Rule.NOR_I_R), "premise must negate the matching disjunct"),
+    ((Rule.OR_E,), "major premise must be a disjunction"),
+    ((Rule.OR_E,), "both case branches must conclude the node's conclusion"),
+    ((Rule.NOR_E,), "major premise must be a negated disjunction"),
+    ((Rule.NOR_E,), "both case branches must conclude the node's conclusion"),
+]
+
+
+def test_check_agrees_with_the_reference_checker_on_seeded_trees() -> None:
+    # the corpus and 600 derivations that search finds (up to four premises
+    # of depth 3, depths 1 to 7), each corrupted 3 times in every way
+    rng = random.Random(30)
+    found: list[Derivation] = []
+    k = 0
+    while len(found) < 600:
+        derivation = search(random_sequent(rng, max_premises=4, max_depth=3), 1 + k % 7)
+        k += 1
+        if derivation is not None:
+            found.append(derivation)
+    errors = set()
+    for d in [e.derivation for e in corpus()] + found:
+        for tree in [d] + [corrupt(rng, d, kind) for kind in CORRUPTIONS for _ in range(3)]:
+            outcome = _outcome(check, tree)
+            assert outcome == _outcome(reference_check, tree), render_derivation(tree)
+            if not isinstance(outcome, CheckedSequent):
+                errors.add(outcome[1:])
+    missed = [(rules, message) for rules, message in SCHEMA_MESSAGES
+              if not any(rule in rules and text.startswith(message) for rule, text in errors)]
+    assert missed == []
 
 
 def test_check_gives_the_same_result_twice() -> None:
