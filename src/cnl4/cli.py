@@ -186,13 +186,20 @@ def cmd_eval(args: argparse.Namespace) -> _Result:
                "value": value}, value
 
 
-def _json_rows(record: dict, rows: Iterable[dict]) -> Iterator[str]:
-    """``record`` and its "rows", encoded as ``run`` encodes a record, a row per
-    chunk in place of a placeholder row (``null`` alone on a line, which no string can be)."""
+def _json_rows(record: dict, rows: Iterable[tuple[dict, Value]],
+               name: Callable[[Value], str]) -> Iterator[str]:
+    """``record`` and its "rows", encoded as ``run`` encodes a record, a row per chunk in
+    place of a placeholder row (``null`` alone on a line, which no string can be).  Each row
+    fills its encoded values into one row shape, encoded with every value ``null``."""
     head, tail = _JSON.encode({**record, "rows": [None]}).split("\n    null\n")
+    shape = _JSON.encode({"assignment": dict.fromkeys(record["variables"]), "value": None})
+    row = shape.replace("\n", "\n    ").replace(": null", ": %s")  # no atom holds ": "
+    order = sorted(record["variables"])  # as sort_keys orders the keys
+    encoded = {v: _JSON.encode(name(v)) for v in CANONICAL_ORDER}.__getitem__
     yield head
-    for i, row in enumerate(rows):
-        yield (",\n    " if i else "\n    ") + _JSON.encode(row).replace("\n", "\n    ")
+    for i, (inter, value) in enumerate(rows):
+        values = (*map(encoded, map(inter.__getitem__, order)), encoded(value))
+        yield (",\n    " if i else "\n    ") + row % values
     yield "\n" + tail + "\n"
 
 
@@ -202,9 +209,7 @@ def cmd_truthtable(args: argparse.Namespace) -> _Result:
     atoms, text = variables(f), format_formula(f)
     # a row per interpretation (4**n): both renderings read the one row iterator
     # lazily, a row at a time, and ``run`` consumes only the one it writes
-    record = _json_rows({"formula": text, "variables": atoms},
-                        ({"assignment": _assignment_json(inter, name), "value": name(value)}
-                         for inter, value in rows))
+    record = _json_rows({"formula": text, "variables": atoms}, rows, name)
     return 0, record, chain([" ".join(atoms) + " | " + text + "\n"],
                             (" ".join(name(inter[atom]) for atom in atoms) + " | " + name(value)
                              + "\n" for inter, value in rows))

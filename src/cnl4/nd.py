@@ -67,10 +67,8 @@ class Rule(Enum):
 # a ``Rule.X`` read runs the enum metaclass's __getattr__: 16 globals' worth
 (HYP, AND_I, AND_E_L, AND_E_R, OR_I_L, OR_I_R, OR_E, NN1, NN2,
  NAND_I, NAND_E_L, NAND_E_R, NOR_I_L, NOR_I_R, NOR_E) = Rule
-# ``rule in _DISCHARGING`` compares by identity and never hashes a Rule
-_DISCHARGING = (OR_E, NOR_E)
 #: Rules whose nodes discharge hypotheses (second and third premises).
-DISCHARGING_RULES = frozenset(_DISCHARGING)
+DISCHARGING_RULES = frozenset((OR_E, NOR_E))
 
 _RULE_OF_NAME = {rule.value: rule for rule in Rule}
 
@@ -285,7 +283,7 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
         _fail(None, f"unknown rule {rule!r}")
     if (label is not None) != (rule is HYP):
         _fail(rule, "only Hyp nodes carry a hypothesis label")
-    if (discharge is not None) != (rule in _DISCHARGING):
+    if (discharge is not None) != (rule in DISCHARGING_RULES):
         _fail(rule, "only OrE/NOrE nodes carry discharge labels")
 
     if rule is HYP or rule is NN2:  # leaves: no premises to check first
@@ -463,7 +461,7 @@ def _from_json(obj: object, depth: int, parsed: dict[str, Formula], nodes: dict)
     if not isinstance(premises, list):
         raise ProofFormatError("'premises' must be an array")
     discharge = None
-    if rule in _DISCHARGING:
+    if rule in DISCHARGING_RULES:
         raw = obj.get("discharge")
         if (not isinstance(raw, list) or len(raw) != 2
                 or not all(isinstance(x, str) for x in raw)):

@@ -117,31 +117,28 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
             if right is not None:
                 return (nor_i_r if negated else or_i_r)(right, body[1])
 
-        # single-step eliminations from A & B, and from ~(A & B) toward ~A or ~B
+        # an assumption is read as a goal is, a body negated or not.  A & B gives
+        # A or B; ~(A & B) gives ~A or ~B, so it is tried only on a negated goal
         for label_a, f in assumptions:
-            if type(f) is And:
-                if f[1] == goal:
-                    return and_e_l(hyp(label_a, f))
-                if f[2] == goal:
-                    return and_e_r(hyp(label_a, f))
-            elif negated and type(f) is Neg and type(f[1]) is And:
-                if body == f[1][1]:
-                    return nand_e_l(hyp(label_a, f))
-                if body == f[1][2]:
-                    return nand_e_r(hyp(label_a, f))
+            negated_a = type(f) is Neg
+            body_a = f[1] if negated_a else f
+            if type(body_a) is And and (negated or not negated_a):
+                part = body if negated_a else goal
+                if body_a[1] == part:
+                    return (nand_e_l if negated_a else and_e_l)(hyp(label_a, f))
+                if body_a[2] == part:
+                    return (nand_e_r if negated_a else and_e_r)(hyp(label_a, f))
 
-        # case analysis on A | B or ~(A | B), tried last
+        # case analysis on A | B or ~(A | B), tried last: the cases are the
+        # body's children, negated with the assumption
         for label_a, f in assumptions:
-            if type(f) is Or:
-                cases: tuple[Formula, Formula] = (f[1], f[2])
-                build = or_e
-            elif type(f) is Neg and type(f[1]) is Or:
-                cases = (Neg(f[1][1]), Neg(f[1][2]))
-                build = nor_e
-            else:
+            negated_a = type(f) is Neg
+            body_a = f[1] if negated_a else f
+            if type(body_a) is not Or:
                 continue
             if not state.may_split():  # invalid: no split can find a derivation
                 return None
+            cases = (Neg(body_a[1]), Neg(body_a[2])) if negated_a else body_a[1:]
             label_l = f"h{next(state.labels)}"
             label_r = f"h{next(state.labels)}"
             left = _prove(goal, assumptions + [(label_l, cases[0])], depth - 1, state)
@@ -150,6 +147,6 @@ def _prove(goal: Formula, assumptions: list[tuple[str, Formula]],
             right = _prove(goal, assumptions + [(label_r, cases[1])], depth - 1, state)
             if right is None:
                 continue
-            return build(hyp(label_a, f), left, right, (label_l, label_r))
+            return (nor_e if negated_a else or_e)(hyp(label_a, f), left, right, (label_l, label_r))
 
     return None

@@ -230,24 +230,27 @@ def test_check_rejection_names_path_rule_and_message(bad, path, rule, message) -
 
 
 _BUILDER_ERRORS = [
-    (nd.and_e_l, (hyp("h1", P),), "AndE_L needs a conjunction premise"),
-    (nd.and_e_r, (hyp("h1", Or(P, Q)),), "AndE_R needs a conjunction premise"),
-    (nd.nand_i, (hyp("h1", Neg(P)), hyp("h2", Q)), "NAndI needs two negation premises"),
-    (nd.nand_e_l, (hyp("h1", Neg(P)),), "NAndE_L needs a negated conjunction premise"),
-    (nd.nand_e_r, (hyp("h1", And(P, Q)),), "NAndE_R needs a negated conjunction premise"),
-    (nd.nor_i_l, (hyp("h1", P), Q), "NOrI_L needs a negation premise"),
-    (nd.nor_i_r, (hyp("h1", P), Q), "NOrI_R needs a negation premise"),
+    ("and_e_l", (hyp("h1", P),), "AndE_L needs a conjunction premise"),
+    ("and_e_r", (hyp("h1", Or(P, Q)),), "AndE_R needs a conjunction premise"),
+    ("nand_i", (hyp("h1", Neg(P)), hyp("h2", Q)), "NAndI needs two negation premises"),
+    ("nand_e_l", (hyp("h1", Neg(P)),), "NAndE_L needs a negated conjunction premise"),
+    ("nand_e_r", (hyp("h1", And(P, Q)),), "NAndE_R needs a negated conjunction premise"),
+    ("nor_i_l", (hyp("h1", P), Q), "NOrI_L needs a negation premise"),
+    ("nor_i_r", (hyp("h1", P), Q), "NOrI_R needs a negation premise"),
     # a plain rule does not read through ~, and under ~ each premise must be a negation
-    (nd.and_e_l, (hyp("h1", Neg(And(P, Q))),), "AndE_L needs a conjunction premise"),
-    (nd.nand_i, (hyp("h1", P), hyp("h2", Neg(Q))), "NAndI needs two negation premises"),
+    ("and_e_l", (hyp("h1", Neg(And(P, Q))),), "AndE_L needs a conjunction premise"),
+    ("nand_i", (hyp("h1", P), hyp("h2", Neg(Q))), "NAndI needs two negation premises"),
 ]
 
 
-@pytest.mark.parametrize(("build", "args", "message"), _BUILDER_ERRORS,
-                         ids=[message.split()[0] for _, _, message in _BUILDER_ERRORS])
-def test_builders_refuse_premises_of_the_wrong_shape(build, args, message) -> None:
+# an id is the builder's name and the case's index among that builder's cases,
+# so a case added later renames no existing id
+@pytest.mark.parametrize(("builder", "args", "message"), _BUILDER_ERRORS,
+                         ids=[f"{name}-{[c[0] for c in _BUILDER_ERRORS[:i]].count(name)}"
+                              for i, (name, _, _) in enumerate(_BUILDER_ERRORS)])
+def test_builders_refuse_premises_of_the_wrong_shape(builder, args, message) -> None:
     with pytest.raises(ValueError) as exc_info:
-        build(*args)
+        getattr(nd, builder)(*args)
     assert str(exc_info.value) == message
 
 
