@@ -25,7 +25,7 @@ import os
 import sys
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 from . import _bind, _lazy_getattr
 from .formula import (
@@ -159,7 +159,7 @@ def _assignment_json(inter: dict[str, Value], name: Callable[[Value], str]) -> d
     return {atom: name(v) for atom, v in inter.items()}
 
 
-def _assignment_str(assignment: dict[str, str]) -> str:
+def _assignment_str(assignment: Mapping[str, object]) -> str:
     return ", ".join(f"{name}={assignment[name]}" for name in sorted(assignment))
 
 
@@ -333,8 +333,7 @@ def cmd_options_compare(args: argparse.Namespace) -> _Result:
             lines.append(f"{r.option_id}: ok ({r.checked} interpretations)")
         else:
             m = r.mismatches[0]
-            where = ", ".join(f"{k}={v}" for k, v in sorted(m.interpretation.items()))
-            lines.append(f"{r.option_id}: MISMATCH at {where}: "
+            lines.append(f"{r.option_id}: MISMATCH at {_assignment_str(m.interpretation)}: "
                          f"map gives {m.via_map}, clauses give {m.via_clauses}")
     record = [{"option": r.option_id, "ok": r.ok, "checked": r.checked,
                "mismatches": [{"interpretation": {k: v.value for k, v in m.interpretation.items()},

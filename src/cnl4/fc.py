@@ -86,34 +86,20 @@ def boolean_neg(arg: Formula) -> Formula:
     return substitute(BOOLEAN_NEG, "x", arg)
 
 
-def _nn(f: Formula) -> Formula:
-    return Neg(Neg(f))
-
-
-def _nnn(f: Formula) -> Formula:
-    return Neg(Neg(Neg(f)))
-
-
 #: Terms defining the indicator functions delta_a, the constants C_a,
 #: and the negation macro itself.  The delta terms use the macro, fully
 #: expanded, so evaluating them exercises the macro at depth.
 DEFINING_TERMS: dict[str, Formula] = {
-    "delta_1": boolean_neg(Or(_nn(X), _nnn(X))),
-    "delta_i": boolean_neg(Or(_nn(X), boolean_neg(_nnn(X)))),
-    "delta_j": boolean_neg(Or(_nnn(X), boolean_neg(boolean_neg(X)))),
-    "delta_0": boolean_neg(boolean_neg(And(_nn(X), _nnn(X)))),
+    "delta_1": boolean_neg(parse("~~x | ~~~x")),
+    "delta_i": boolean_neg(Or(parse("~~x"), boolean_neg(parse("~~~x")))),
+    "delta_j": boolean_neg(Or(parse("~~~x"), boolean_neg(boolean_neg(X)))),
+    "delta_0": boolean_neg(boolean_neg(parse("~~x & ~~~x"))),
     "C_1": parse("x | ~~x"),
     "C_i": parse("~(x | ~~x)"),
     "C_j": parse("~(x & ~~x)"),
     "C_0": parse("x & ~~x"),
     "bool_neg": BOOLEAN_NEG,
 }
-
-_DELTA_VALUE = {"delta_1": Value.V1, "delta_i": Value.VI,
-                "delta_j": Value.VJ, "delta_0": Value.V0}
-_CONSTANT_VALUE = {"C_1": Value.V1, "C_i": Value.VI,
-                   "C_j": Value.VJ, "C_0": Value.V0}
-
 
 def fn_of_unary_term(t: Formula) -> UnaryTable:
     """Tabulate a term in the single reserved variable ``x``."""
@@ -147,8 +133,8 @@ class PointCheck(NamedTuple):
 
 def delta_c_point_checks(tables: Mapping[str, UnaryTable]) -> list[PointCheck]:
     """Compare delta/C tables against their defining equations, pointwise."""
-    expected = {**{name: indicator_table(a) for name, a in _DELTA_VALUE.items()},
-                **{name: constant_table(a) for name, a in _CONSTANT_VALUE.items()}}
+    expected = {**{f"delta_{a}": indicator_table(a) for a in CANONICAL_ORDER},
+                **{f"C_{a}": constant_table(a) for a in CANONICAL_ORDER}}
     return [PointCheck(name, b, table.apply(b), tables[name].apply(b))
             for name, table in expected.items() for b in CANONICAL_ORDER]
 
@@ -327,9 +313,7 @@ def depends_on_left(f: BinaryTable) -> bool:
 
 
 def depends_on_right(f: BinaryTable) -> bool:
-    return any(f.apply(a, b1) != f.apply(a, b2)
-               for a in CANONICAL_ORDER
-               for b1 in CANONICAL_ORDER for b2 in CANONICAL_ORDER)
+    return depends_on_left(binary_table(lambda a, b: f.apply(b, a)))
 
 
 def is_essentially_binary(f: BinaryTable) -> bool:

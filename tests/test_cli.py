@@ -411,6 +411,15 @@ def test_check_proof_refuses_deep_files(capsys, tmp_path, output, text, message)
     assert err == f"cnl4: proof format error: {message}\n"
 
 
+@pytest.mark.parametrize("output", [[], ["--format", "json"]], ids=["text", "json"])
+def test_check_proof_refuses_premises_that_are_not_an_array(capsys, tmp_path, output) -> None:
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps({"rule": "NN2", "conclusion": "p | ~~p", "premises": {}}))
+    code, out, err = invoke(capsys, "check-proof", str(path), *output)
+    assert code == 3 and out == ""
+    assert err == "cnl4: proof format error: 'premises' must be an array\n"
+
+
 def test_check_proof_missing_file(capsys, tmp_path) -> None:
     code, _, err = invoke(capsys, "check-proof", str(tmp_path / "nope.json"))
     assert code == 3

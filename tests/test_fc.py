@@ -8,10 +8,14 @@ table.
 
 from __future__ import annotations
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cnl4.formula import Neg, format_formula, parse, substitute, variables
 from cnl4.matrix import CANONICAL_ORDER, NEG, Value, evaluate
@@ -45,6 +49,7 @@ from cnl4.fc import (
 from helpers import all_unary_tables, is_unary_reducible
 
 V1, VI, VJ, V0 = Value.V1, Value.VI, Value.VJ, Value.V0
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +139,16 @@ def test_boolean_neg_table_by_step_by_step_composition() -> None:
 def test_defining_terms_mention_only_x() -> None:
     for name, term in DEFINING_TERMS.items():
         assert variables(term) == ["x"], name
+
+
+def test_defining_terms_print_as_recorded() -> None:
+    """Pin each term's structure, not only its table: an equivalent but
+    different term would pass every table check."""
+    recorded = json.loads((DATA / "fc_defining_terms.json").read_text(encoding="utf-8"))
+    assert list(DEFINING_TERMS) == list(recorded)
+    for name, term in DEFINING_TERMS.items():
+        assert format_formula(term) == recorded[name], name
+        assert parse(recorded[name]) == term, name
 
 
 def test_verify_delta_c_passes_all_32_points() -> None:
@@ -276,6 +291,37 @@ def test_unary_composed_tables_are_reducible() -> None:
     for table in (as_left, as_right):
         assert is_unary_reducible(table)
         assert not is_essentially_binary(table)
+
+
+def _mirrored_scan(f: BinaryTable) -> tuple[bool, bool]:
+    """Dependence on each coordinate, each by its own 64 comparisons."""
+    values = CANONICAL_ORDER
+    left = any(f.apply(a1, b) != f.apply(a2, b)
+               for b in values for a1 in values for a2 in values)
+    right = any(f.apply(a, b1) != f.apply(a, b2)
+                for a in values for b1 in values for b2 in values)
+    return left, right
+
+
+def _on_one_side(g: UnaryTable, left: bool) -> BinaryTable:
+    return binary_table(lambda a, b: g.apply(a if left else b))
+
+
+# random tables nearly always depend on both sides, so one branch draws g(x) or g(y)
+binary_tables = st.one_of(
+    st.tuples(*[st.sampled_from(CANONICAL_ORDER)] * 16).map(BinaryTable),
+    st.builds(_on_one_side, st.sampled_from(all_unary_tables()), st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_tables)
+@example(AND_TABLE)
+@example(OR_TABLE)
+@example(binary_table(lambda a, b: a))
+@example(binary_table(lambda a, b: b))
+def test_dependence_agrees_with_the_mirrored_scan(table: BinaryTable) -> None:
+    assert (depends_on_left(table), depends_on_right(table)) == _mirrored_scan(table)
 
 
 def test_binarity_check_agrees_with_reducibility_oracle() -> None:

@@ -947,6 +947,18 @@ def test_from_json_dict_names_an_unknown_rule(rule, message: str) -> None:
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("obj", [
+    {"rule": "NN2", "conclusion": "p | ~~p", "premises": {}},
+    {"rule": "AndE_L", "conclusion": "p", "premises": [
+        {"rule": "Hyp", "conclusion": "p & q", "label": "h1",
+         "premises": {"0": {"rule": "Hyp", "conclusion": "p", "label": "h2"}}},
+    ]},
+], ids=["root", "below the root"])
+def test_from_json_dict_requires_premises_to_be_an_array(obj) -> None:
+    with pytest.raises(ProofFormatError, match="^'premises' must be an array$"):
+        from_json_dict(obj)
+
+
 def test_from_json_dict_requires_a_rule() -> None:
     with pytest.raises(ProofFormatError, match="^proof node is missing 'rule'$"):
         from_json_dict({"conclusion": "p", "premises": []})
