@@ -5,6 +5,9 @@ tables, consequence checking with countermodels, proof checking and
 search, the bundled derivation corpus, functional-completeness reports,
 and the option-reading tables.
 
+``_VERBS`` states each verb once, and a run builds only the parser of the verb
+it invokes; help, a bare group and an unknown verb get the whole tree.
+
 ``run`` settles every command-line input first (:func:`_settle`), so each
 verb takes parsed values and only computes.  It returns ``(code, record,
 text)``: its exit code, its JSON record and its text.  ``run`` writes the
@@ -25,7 +28,7 @@ import os
 import sys
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from . import _bind, _lazy_getattr
 from .formula import (
@@ -39,10 +42,10 @@ from .formula import (
 )
 
 #: The names this module takes from each layer but ``formula``.  Each verb
-#: names its layers where ``build_parser`` registers it, and ``run`` loads
-#: them before the verb runs; ``__getattr__`` loads them for a caller that
-#: reads ``cli.<name>`` first, such as a tracer that replaces the function
-#: with a wrapper (``truth_table`` is bound for such callers only).
+#: names its layers in its ``_VERBS`` row, and ``run`` loads them before the
+#: verb runs; ``__getattr__`` loads them for a caller that reads ``cli.<name>``
+#: first, such as a tracer that replaces the function with a wrapper
+#: (``truth_table`` is bound for such callers only).
 _LAYER_NAMES = {
     "matrix": ("CANONICAL_ORDER", "DEFAULT_CAP", "CapExceededError", "UnboundVariableError",
                "Value", "countermodel", "evaluate", "is_consequence", "truth_rows", "truth_table"),
@@ -346,66 +349,70 @@ def cmd_options_compare(args: argparse.Namespace) -> _Result:
 # --------------------------------------------------------------------------
 # Parser construction and dispatch
 
-def build_parser() -> argparse.ArgumentParser:
-    # flag groups shared by the verbs; each verb lists them in its help order
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text",
-                     help="output format (default text)")
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--cap", type=int, default=None, metavar="N",
-                     help="variable cap for enumeration (default 10, or CNL4_CAP)")
-    option = argparse.ArgumentParser(add_help=False)
-    option.add_argument("--option", choices=("O1", "O2", "O3", "O4"), default=None,
-                        help="option reading (default O1)")
-    option_fde = argparse.ArgumentParser(add_help=False, parents=[option])
-    option_fde.add_argument("--fde", action="store_true",
-                            help="print values as t/b/n/f via the option's map")
-    depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=6, metavar="N",
-                       help="maximum derivation height (default 6)")
-    target = argparse.ArgumentParser(add_help=False)
-    target.add_argument("--target", required=True, metavar="t:_,b:_,n:_,f:_",
-                        help="target table in t/b/n/f names, e.g. t:f,b:b,n:n,f:t")
+#: Each command path, its help, the layers ``run`` loads for it and its argument
+#: names in help order; a group has ``None`` for arguments.  A verb's function is
+#: ``cmd_`` and its path, with spaces and ``-`` as ``_``, read when the parser is built.
+_VERBS: tuple[tuple[str, str, tuple[str, ...], tuple[str, ...] | None], ...] = (
+    ("parse", "parse a formula and reprint it", (), ("formula", "--format")),
+    ("eval", "evaluate a formula under bindings like p=1", ("matrix",),
+     ("formula", "bindings", "--format", "--option", "--fde")),
+    ("truthtable", "print the full truth table", ("matrix",),
+     ("formula", "--format", "--cap", "--option", "--fde")),
+    ("conseq", "check a sequent like 'p, q |- p & q'", ("matrix",),
+     ("sequent", "--format", "--cap", "--option", "--fde")),
+    ("countermodel", "print the first countermodel, if any", ("matrix",),
+     ("sequent", "--format", "--cap", "--option", "--fde")),
+    ("check-proof", "check a JSON proof file", ("nd",), ("file", "--format")),
+    ("search-proof", "bounded proof search for a sequent", ("nd", "prove"),
+     ("sequent", "--depth", "--format")),
+    ("corpus", "list the bundled derivations", ("nd",), ("--format",)),
+    ("fc", "functional completeness tools", (), None),
+    ("fc verify", "check the delta/C defining terms", ("fc",), ("--format",)),
+    ("fc closure", "compute the unary clone closure", ("fc",), ("--format",)),
+    ("fc find", "find a term for a unary table", ("matrix", "fc", "relational"),
+     ("--target", "--format", "--option")),
+    ("options", "option-reading tables and comparisons", (), None),
+    ("options table", "print an option's connective tables", ("relational",),
+     ("--format", "--option")),
+    ("options compare", "compare matrix and clause evaluation", ("matrix", "relational"),
+     ("formula", "--format", "--cap", "--option")),
+)
 
-    def verb(group, name: str, summary: str, func, layers: tuple[str, ...], parents: list,
-             *positionals: str):
-        p = group.add_parser(name, help=summary, parents=parents)
-        for positional in positionals:
-            p.add_argument(positional)
-        p.set_defaults(func=func, layers=layers)
-        return p
+#: ``add_argument``'s keyword arguments for each name that is not a plain positional.
+_ARGUMENTS: dict[str, dict[str, object]] = {
+    "--format": dict(choices=("text", "json"), default="text", help="output format (default text)"),
+    "--cap": dict(type=int, default=None, metavar="N",
+                  help="variable cap for enumeration (default 10, or CNL4_CAP)"),
+    "--option": dict(choices=("O1", "O2", "O3", "O4"), default=None,
+                     help="option reading (default O1)"),
+    "--fde": dict(action="store_true", help="print values as t/b/n/f via the option's map"),
+    "--depth": dict(type=int, default=6, metavar="N", help="maximum derivation height (default 6)"),
+    "--target": dict(required=True, metavar="t:_,b:_,n:_,f:_",
+                     help="target table in t/b/n/f names, e.g. t:f,b:b,n:n,f:t"),
+    "bindings": dict(nargs="*", metavar="name=value"),
+}
 
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the leaf verb ``argv`` starts with, under its group if any, else
+    the whole tree.  A subparser's help and errors read its own arguments only, and
+    only an ``argv`` that invokes no leaf verb is answered with the verbs' list."""
+    rows = [row for row in _VERBS if list(argv[:len(row[0].split())]) == row[0].split()]
+    if all(arguments is None for *_, arguments in rows):  # no leaf verb: build them all
+        rows = _VERBS
     parser = _ArgumentParser(prog="cnl4", description="four-valued logic workbench")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    verb(sub, "parse", "parse a formula and reprint it", cmd_parse, (), [fmt], "formula")
-    p = verb(sub, "eval", "evaluate a formula under bindings like p=1", cmd_eval,
-             ("matrix",), [fmt, option_fde], "formula")
-    p.add_argument("bindings", nargs="*", metavar="name=value")
-    verb(sub, "truthtable", "print the full truth table", cmd_truthtable,
-         ("matrix",), [fmt, cap, option_fde], "formula")
-    verb(sub, "conseq", "check a sequent like 'p, q |- p & q'", cmd_conseq,
-         ("matrix",), [fmt, cap, option_fde], "sequent")
-    verb(sub, "countermodel", "print the first countermodel, if any", cmd_countermodel,
-         ("matrix",), [fmt, cap, option_fde], "sequent")
-    verb(sub, "check-proof", "check a JSON proof file", cmd_check_proof,
-         ("nd",), [fmt], "file")
-    verb(sub, "search-proof", "bounded proof search for a sequent", cmd_search_proof,
-         ("nd", "prove"), [depth, fmt], "sequent")
-    verb(sub, "corpus", "list the bundled derivations", cmd_corpus, ("nd",), [fmt])
-
-    p = sub.add_parser("fc", help="functional completeness tools")
-    fc = p.add_subparsers(dest="fc_command", required=True, metavar="subcommand")
-    verb(fc, "verify", "check the delta/C defining terms", cmd_fc_verify, ("fc",), [fmt])
-    verb(fc, "closure", "compute the unary clone closure", cmd_fc_closure, ("fc",), [fmt])
-    verb(fc, "find", "find a term for a unary table", cmd_fc_find,
-         ("matrix", "fc", "relational"), [target, fmt, option])
-
-    p = sub.add_parser("options", help="option-reading tables and comparisons")
-    options = p.add_subparsers(dest="options_command", required=True, metavar="subcommand")
-    verb(options, "table", "print an option's connective tables", cmd_options_table,
-         ("relational",), [fmt, option])
-    verb(options, "compare", "compare matrix and clause evaluation", cmd_options_compare,
-         ("matrix", "relational"), [fmt, cap, option], "formula")
+    groups = {"": parser.add_subparsers(dest="command", required=True, metavar="command")}
+    for path, summary, layers, arguments in rows:
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, help=summary)
+        if arguments is None:
+            groups[path] = p.add_subparsers(dest=f"{path}_command", required=True,
+                                            metavar="subcommand")
+        else:
+            for argument in arguments:
+                p.add_argument(argument, **_ARGUMENTS.get(argument, {}))
+            p.set_defaults(func=globals()["cmd_" + path.replace(" ", "_").replace("-", "_")],
+                           layers=layers)
     return parser
 
 
@@ -450,9 +457,9 @@ def _write(output: object, as_json: bool) -> bool:
 def run(argv: list[str] | None = None) -> int:
     """Entry point: runs the verb, writes its result and returns the process
     exit code."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:

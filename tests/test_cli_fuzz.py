@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from cnl4.cli import run
+from cnl4.cli import _VERBS, run
 from cnl4.formula import ParseError, format_formula, format_sequent, parse, variables
 from cnl4.nd import Rule, hyp, to_json_dict
 from cnl4.prove import search
@@ -49,13 +49,11 @@ VERBS = {
     ("options", "table"): 4, ("options", "compare"): 8,
 }
 
-#: The flags each verb takes, beyond its positionals.
-FLAGS = {
-    ("eval",): ("option", "fde"), ("truthtable",): ("cap", "option", "fde"),
-    ("conseq",): ("cap", "option", "fde"), ("countermodel",): ("cap", "option", "fde"),
-    ("search-proof",): ("depth",), ("fc", "find"): ("option",),
-    ("options", "table"): ("option",), ("options", "compare"): ("cap", "option"),
-}
+#: The flags each verb takes in the CLI's table, but ``--format``, which every
+#: verb takes, and ``fc find``'s ``--target``, which ``command_line`` draws.
+FLAGS = {tuple(path.split()): tuple(name[2:] for name in arguments if name.startswith("--")
+                                    and name not in ("--format", "--target"))
+         for path, _, _, arguments in _VERBS if arguments is not None}
 
 #: Values for each flag: good ones first, then bad ones, with the chance of a bad one.
 FLAG_VALUES = {
@@ -220,6 +218,10 @@ def assert_contract(argv: list[str], code: int, out: str, err: str) -> None:
             assert lines[-1].startswith("cnl4") and ": error: " in lines[-1]
         else:
             assert len(lines) == 1 and lines[0].startswith("cnl4: ")
+
+
+def test_the_draw_weighs_every_leaf_verb_of_the_table() -> None:
+    assert list(VERBS) == list(FLAGS)  # FLAGS has a key per leaf verb, in table order
 
 
 def test_every_command_line_keeps_the_exit_contract(tmp_path, monkeypatch) -> None:

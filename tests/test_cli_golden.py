@@ -5,6 +5,8 @@ text and JSON, every ``--help`` and the error paths of each verb, the
 exit code, stdout and stderr of ``run(argv)``.  A case may set
 environment variables (``CNL4_CAP``) and write input files into the
 working directory first.  Help text is formatted for ``COLUMNS=80``.
+The module also checks that the parser a run builds for its verb alone
+reads every golden and fuzzed command line as the whole tree does.
 
 The golden file is written by this module's ``__main__`` block and is
 never edited by hand::
@@ -18,12 +20,14 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from cnl4.cli import build_parser, run
+import test_cli_fuzz as fuzz
+from cnl4.cli import _VERBS, build_parser, run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -76,13 +80,53 @@ def test_golden_covers_every_verb() -> None:
     """Every command path has a --help case; every leaf verb also runs in
     text and in JSON."""
     cases = [case["argv"] for case in _load()]
-    for path, leaf in _command_paths(build_parser()):
+    paths = _command_paths(build_parser())
+    assert [" ".join(path) for path, _ in paths[1:]] == [row[0] for row in _VERBS]
+    for path, leaf in paths:
         assert [*path, "--help"] in cases, path
         if leaf:
             runs = [argv for argv in cases
                     if tuple(argv[:len(path)]) == path and "--help" not in argv]
             assert any("json" in argv for argv in runs), path
             assert any("--format" not in argv for argv in runs), path
+
+
+# ---------------------------------------------------------------------------
+# A run builds only its verb's parser, and it answers as the whole tree does
+
+LEAVES = [row[0].split() for row in _VERBS if row[3] is not None]
+
+
+@pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+def test_a_leaf_verb_builds_only_its_own_parser(path) -> None:
+    built = [p for p, _ in _command_paths(build_parser([*path, "--format", "json"]))]
+    assert built == [tuple(path[:i]) for i in range(len(path) + 1)]  # the root, its group, it
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["fc"],
+                                  ["fc", "frobnicate"], ["options"]], ids=" ".join)
+def test_input_that_invokes_no_leaf_verb_builds_the_whole_tree(argv) -> None:
+    assert _command_paths(build_parser(argv)) == _command_paths(build_parser())
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str]) -> object:
+    """The namespace ``parser`` reads from ``argv``, or how it exits and what it writes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_the_partial_parser_answers_as_the_whole_tree(tmp_path, monkeypatch) -> None:
+    """Over every golden and every fuzzed command line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    rng = random.Random(fuzz.SEED)
+    fuzzed = [fuzz.command_line(rng, tmp_path, i)[1] for i in range(fuzz.RUNS)]
+    whole = build_parser()
+    for argv in [case["argv"] for case in _load()] + fuzzed:
+        assert _parsed(build_parser(argv), argv) == _parsed(whole, argv), argv
 
 
 # ---------------------------------------------------------------------------
