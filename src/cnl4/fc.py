@@ -8,10 +8,10 @@ Three ingredients:
   equation;
 * the closure of {identity, ~} under composition, pointwise & / | and
   post-negation, which reaches all 256 unary functions on the carrier
-  and keeps a smallest-found witness term per function.  It runs on
-  table indices (ints 0..255 of two-bit truth-set codes), measures each
-  candidate's witness from its parts, and builds terms only for the
-  smallest candidates of each new table;
+  and keeps a smallest-found witness term per function.  Its tables are
+  ints 0..255 holding the engine's 1- and 0-planes, so ~, & and | run in
+  the engine's loop; each witness is measured from its parts, and terms
+  are built only for the smallest candidates of each new table;
 * the two-condition criterion for functional completeness of a finite
   matrix with at least three elements: all unary functions definable,
   plus one surjective essentially binary definable function.
@@ -24,9 +24,10 @@ from typing import Mapping, NamedTuple
 
 from .engine import Program
 from .formula import And, Atom, Formula, Neg, Or, format_formula, parse, substitute
-from .matrix import AND, BITS, CANONICAL_ORDER, NEG, OR, Value, program_rows
+from .matrix import _CANONICAL_CLAUSES, _TABLE_PROGRAM, AND, BITS, CANONICAL_ORDER, NEG, OR, Value
 
 _INDEX = {v: k for k, v in enumerate(CANONICAL_ORDER)}
+_VALUE_OF_BITS = {bits: v for v, bits in BITS.items()}
 
 
 class ReservedVariableError(Exception):
@@ -108,7 +109,8 @@ def fn_of_unary_term(t: Formula) -> UnaryTable:
     if extra:
         raise ReservedVariableError(
             f"unary terms may mention only 'x'; found {', '.join(sorted(extra))}")
-    return UnaryTable(tuple(value for _, value in program_rows(program)))
+    [(_, [(p1, p0)])] = program.blocks(_CANONICAL_CLAUSES)
+    return _unary_table(p1 << 4 | p0)
 
 
 def indicator_table(a: Value) -> UnaryTable:
@@ -164,44 +166,39 @@ def verify_delta_c() -> DeltaCReport:
 
 # --------------------------------------------------------------------------
 # Unary clone closure in table-index space
-# A table is an int 0..255 whose digit at bits 2c, 2c+1 is the BITS code
-# (has1 high, has0 low) of the output at the argument coded c, so & and |
-# are the truth-set clauses.  Each operation also acts lane-wise on
-# tables packed one per byte, given ``lanes``, the repunit 0x0101...01.
-
-_HAS0, _HAS1 = 0x55, 0xAA  # the low and the high bit of every digit
-_CODE = {v: 2 * has1 + has0 for v, (has1, has0) in BITS.items()}
-_VALUE_OF_CODE = {c: v for v, c in _CODE.items()}
-_IDENTITY = sum(c << 2 * c for c in range(4))
-
-
-def _neg(t: int, lanes: int = 1) -> int:
-    return ((t & _HAS0 * lanes) ^ _HAS0 * lanes) << 1 | (t >> 1) & _HAS0 * lanes
-
-
-def _meet(a: int, b: int, lanes: int = 1) -> int:
-    return a & b & _HAS1 * lanes | (a | b) & _HAS0 * lanes
-
-
-def _join(a: int, b: int, lanes: int = 1) -> int:
-    return (a | b) & _HAS1 * lanes | a & b & _HAS0 * lanes
-
-
-def _compose(f: int, g: int, lanes: int = 1) -> int:
-    """f(g): each digit of g becomes f's digit at that code."""
-    low = _HAS0 * lanes
-    g0, g1 = g & low, (g >> 1) & low
-    return ((g1 ^ low) & (g0 ^ low)) * (f & 3) | ((g1 ^ low) & g0) * (f >> 2 & 3) \
-        | (g1 & (g0 ^ low)) * (f >> 4 & 3) | (g1 & g0) * (f >> 6)
-
-
-def _precompose(g: int, f: int, lanes: int = 1) -> int:
-    """g(f): digit c is g's digit at f's digit c."""
-    return sum((g >> 2 * (f >> 2 * c & 3) & 3 * lanes) << 2 * c for c in range(4))
+# A table is an int 0..255: the planes the engine computes for its term over
+# the four values in canonical order, the 1-plane in the high nibble and the
+# 0-plane in the low one.  Tables packed one per byte are operated on at once.
 
 
 def _unary_table(t: int) -> UnaryTable:
-    return UnaryTable(tuple(_VALUE_OF_CODE[t >> 2 * _CODE[v] & 3] for v in CANONICAL_ORDER))
+    return UnaryTable(tuple(_VALUE_OF_BITS[t >> 4 + k & 1, t >> k & 1] for k in range(4)))
+
+
+def _operations(known: bytes):
+    """The operations of a table ``f`` with every table ``g`` of ``known``:
+    a function from ``f`` to ``~f`` and the rows of ``f & g``, ``f | g``,
+    ``f(g)`` and ``g(f)``, one byte per ``g``."""
+    lanes = int.from_bytes(b"\1" * len(known), "little")
+    low = 0xF * lanes
+    packed = int.from_bytes(known, "little")
+    g = (packed >> 4 & low, packed & low)
+    # where g's value is each value (nibble by nibble, in canonical order); and
+    # for each plane f may have, f(g)'s: where g's value is one the plane marks
+    is_value = [(g[0] if has1 else g[0] ^ low) & (g[1] if has0 else g[1] ^ low)
+                for has1, has0 in _CANONICAL_CLAUSES.codes]
+    compose = [sum(m for k, m in enumerate(is_value) if p >> k & 1) for p in range(16)]
+
+    def rows(f: int) -> tuple[int, list[int]]:
+        f1, f0 = f >> 4, f & 0xF
+        [(n1, n0), *binary] = _TABLE_PROGRAM.planes(
+            _CANONICAL_CLAUSES, [(f1 * lanes, f0 * lanes), g], low)
+        # g(f) is g at f's value
+        at = [_INDEX[_VALUE_OF_BITS[f1 >> k & 1, f0 >> k & 1]] for k in range(4)]
+        precompose = [sum((p >> j & lanes) << k for k, j in enumerate(at)) for p in g]
+        planes = (*binary, (compose[f1], compose[f0]), precompose)
+        return (n1 & 0xF) << 4 | n0 & 0xF, [p1 << 4 | p0 for p1, p0 in planes]
+    return rows
 
 
 class ClosureResult(NamedTuple):
@@ -231,9 +228,10 @@ def _index_closure() -> tuple[dict[int, Formula], dict[int, tuple[int, int]], in
     """Witnesses by table index in insertion order, their (size, number
     of x), and the round count.  A candidate is measured from its parts;
     its term is built only if it is among the smallest for a new table."""
-    nx = _neg(_IDENTITY)
-    terms: dict[int, Formula] = {_IDENTITY: X, nx: Neg(X)}
-    measures = {_IDENTITY: (1, 1), nx: (2, 1)}
+    [(_, planes)] = Program([X, Neg(X)]).blocks(_CANONICAL_CLAUSES)
+    x, nx = (p1 << 4 | p0 for p1, p0 in planes)
+    terms: dict[int, Formula] = {x: X, nx: Neg(X)}
+    measures = {x: (1, 1), nx: (2, 1)}
     frontier, rounds = list(terms), 0
     while True:
         best: dict[int, list] = {}  # new table -> [least size, its candidates]
@@ -246,16 +244,14 @@ def _index_closure() -> tuple[dict[int, Formula], dict[int, tuple[int, int]], in
                 best[t][1].add((op, a, b))
 
         known = bytes(terms)
-        lanes = int.from_bytes(b"\1" * len(known), "little")
-        packed = int.from_bytes(known, "little")
+        operations = _operations(known)
         for f in frontier:
-            if _neg(f) not in terms:
-                offer(_neg(f), "~", f, f)
+            neg_f, rows = operations(f)
+            if neg_f not in terms:
+                offer(neg_f, "~", f, f)
             # one operation of f with every known g; a shape's flag puts f second
-            for row, shapes in ((_meet(f * lanes, packed, lanes), (("&", 0), ("&", 1))),
-                                (_join(f * lanes, packed, lanes), (("|", 0), ("|", 1))),
-                                (_compose(f, packed, lanes), (("o", 0),)),
-                                (_precompose(packed, f, lanes), (("o", 1),))):
+            for row, shapes in zip(rows, ((("&", 0), ("&", 1)), (("|", 0), ("|", 1)),
+                                          (("o", 0),), (("o", 1),))):
                 row = row.to_bytes(len(known), "little")
                 for t in set(row).difference(terms):
                     j = row.find(t)

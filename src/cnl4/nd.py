@@ -33,7 +33,7 @@ from .formula import And, Formula, Neg, Or, Sequent, format_formula, parse
 #: a sequent, or when a caller first reads ``nd.<name>`` (a tracer that
 #: replaces ``is_consequence`` with a wrapper does, and so does search's
 #: check at its first case split).
-_MATRIX_NAMES = ("DEFAULT_CAP", "CapExceededError", "is_consequence")
+_MATRIX_NAMES = ("CapExceededError", "is_consequence")
 __getattr__ = _lazy_getattr(globals(), (("matrix", _MATRIX_NAMES), ("prove", ("search",))))
 
 #: Most nodes on a path from the root of a proof file.  Reading, loading
@@ -368,12 +368,11 @@ def _check(d: Derivation) -> tuple[_Open, set[str]]:
     return _merge(rule, results)
 
 
-def soundness_check(d: Derivation, cap: int | None = None) -> bool:
-    """True iff ``d`` checks and its sequent is matrix-valid (``cap``
-    defaults to ``matrix.DEFAULT_CAP``)."""
+def soundness_check(d: Derivation) -> bool:
+    """True iff ``d`` checks and its sequent is matrix-valid."""
     _bind(globals(), "matrix", _MATRIX_NAMES)
     try:
-        return is_consequence(derivation_sequent(d), DEFAULT_CAP if cap is None else cap).valid
+        return is_consequence(derivation_sequent(d)).valid
     except DerivationError:
         return False
 

@@ -1,12 +1,13 @@
 """The unary clone closure: its table-index operations and its output.
 
-The index operations are checked against the matrix tables applied
-pointwise, one table at a time and packed one table per byte.  The
-closure itself is pinned byte for byte to golden files in ``tests/data``,
-written by the original implementation over ``UnaryTable`` objects and
-terms: the ``fc closure`` stdout in JSON and text, and every witness in
-insertion order with the round count (the JSON output sorts by table, so
-only that file pins the order).
+A table index holds the engine's 1-plane (high nibble) and 0-plane (low
+nibble) of a term over the four values.  The operations are checked
+against the matrix tables applied pointwise, one table at a time and
+packed one table per byte.  The closure itself is pinned byte for byte
+to golden files in ``tests/data``, written by the original implementation
+over ``UnaryTable`` objects and terms: the ``fc closure`` stdout in JSON
+and text, and every witness in insertion order with the round count (the
+JSON output sorts by table, so only that file pins the order).
 """
 
 from __future__ import annotations
@@ -17,32 +18,29 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import cnl4.fc
 from cnl4.cli import run
 from cnl4.fc import (
-    _IDENTITY,
     IDENTITY_TABLE,
     NEG_TABLE,
+    X,
     _closure,
-    _compose,
     _index_closure,
-    _join,
-    _meet,
-    _neg,
-    _precompose,
+    _operations,
     _unary_table,
     find_term_for_unary,
+    fn_of_unary_term,
     slupecki_check,
     unary_clone_closure,
 )
 from cnl4.formula import Atom, Neg, format_formula, size, subformulas
 from cnl4.matrix import AND, CANONICAL_ORDER, NEG, OR
-from helpers import all_unary_tables
+from helpers import all_unary_tables, formula_strategy, reference_evaluate
 
 DATA = Path(__file__).parent / "data"
 TABLES = [_unary_table(t) for t in range(256)]
-PAIRS = [(a, b) for a in range(256) for b in range(256)]
 
 
 def pointwise(fn, *tables):
@@ -54,50 +52,68 @@ def closure():
     return unary_clone_closure()
 
 
+@pytest.fixture(scope="module")
+def scalar():
+    """(f, g) -> (~f, [f & g, f | g, f(g), g(f)]), one known table at a time."""
+    results = {}
+    for g in range(256):
+        rows = _operations(bytes([g]))
+        for f in range(256):
+            neg_f, row = rows(f)
+            results[f, g] = neg_f, row
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Table-index operations
 
 
 def test_indices_number_every_unary_table_once() -> None:
+    assert len(set(TABLES)) == 256
     assert sorted(TABLES, key=str) == sorted(all_unary_tables(), key=str)
-    assert _unary_table(_IDENTITY) == IDENTITY_TABLE
-    assert _unary_table(_neg(_IDENTITY)) == NEG_TABLE
 
 
-def test_neg_matches_matrix_pointwise() -> None:
-    for t, table in enumerate(TABLES):
-        assert TABLES[_neg(t)].outputs == pointwise(NEG.get, table)
+def test_closure_starts_from_the_indices_of_x_and_neg_x() -> None:
+    terms, _, _ = _index_closure()
+    (x, x_term), (nx, nx_term) = list(terms.items())[:2]
+    assert (x_term, nx_term) == (X, Neg(X))
+    assert (_unary_table(x), _unary_table(nx)) == (IDENTITY_TABLE, NEG_TABLE)
 
 
-@pytest.mark.parametrize("op, table", [(_meet, AND), (_join, OR)], ids=["meet", "join"])
-def test_meet_and_join_match_matrix_pointwise(op, table) -> None:
-    for a, b in PAIRS:
-        assert TABLES[op(a, b)].outputs == pointwise(lambda u, v: table[(u, v)],
-                                                     TABLES[a], TABLES[b])
+def test_neg_matches_matrix_pointwise(scalar) -> None:
+    for f, table in enumerate(TABLES):
+        assert TABLES[scalar[f, 0][0]].outputs == pointwise(NEG.get, table)
 
 
-def test_compose_and_precompose_match_pointwise_composition() -> None:
-    for f, g in PAIRS:
-        expected = pointwise(TABLES[f].apply, TABLES[g])
-        assert TABLES[_compose(f, g)].outputs == expected
-        assert TABLES[_precompose(f, g)].outputs == expected
+@pytest.mark.parametrize("row, table", [(0, AND), (1, OR)], ids=["meet", "join"])
+def test_meet_and_join_match_matrix_pointwise(scalar, row, table) -> None:
+    for (f, g), (_, rows) in scalar.items():
+        assert TABLES[rows[row]].outputs == pointwise(lambda u, v: table[(u, v)],
+                                                      TABLES[f], TABLES[g])
 
 
-def test_packed_operations_act_lane_by_lane() -> None:
+def test_compose_and_precompose_match_pointwise_composition(scalar) -> None:
+    for (f, g), (_, rows) in scalar.items():
+        assert TABLES[rows[2]].outputs == pointwise(TABLES[f].apply, TABLES[g])
+        assert TABLES[rows[3]].outputs == pointwise(TABLES[g].apply, TABLES[f])
+
+
+def test_packed_operations_act_lane_by_lane(scalar) -> None:
     # all 256 tables one per byte, against a seeded sample of fixed operands
-    lanes = int.from_bytes(b"\1" * 256, "little")
-    packed = int.from_bytes(bytes(range(256)), "little")
+    rows = _operations(bytes(range(256)))
     for f in random.Random(7).sample(range(256), 32):
-        rows = {
-            "neg": (_neg(packed, lanes), [_neg(g) for g in range(256)]),
-            "meet": (_meet(f * lanes, packed, lanes), [_meet(f, g) for g in range(256)]),
-            "join": (_join(f * lanes, packed, lanes), [_join(f, g) for g in range(256)]),
-            "compose": (_compose(f, packed, lanes), [_compose(f, g) for g in range(256)]),
-            "precompose": (_precompose(packed, f, lanes),
-                           [_precompose(g, f) for g in range(256)]),
-        }
-        for name, (row, expected) in rows.items():
-            assert list(row.to_bytes(256, "little")) == expected, (name, f)
+        neg_f, packed = rows(f)
+        assert neg_f == scalar[f, 0][0], f
+        for k, row in enumerate(packed):
+            expected = [scalar[f, g][1][k] for g in range(256)]
+            assert list(row.to_bytes(256, "little")) == expected, (k, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula_strategy(("x",)))
+def test_fn_of_unary_term_matches_reference_evaluation(t) -> None:
+    expected = tuple(reference_evaluate(t, {"x": v}) for v in CANONICAL_ORDER)
+    assert fn_of_unary_term(t).outputs == expected
 
 
 def test_import_builds_no_closure() -> None:

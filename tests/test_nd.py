@@ -31,7 +31,7 @@ from cnl4.formula import (
     sequent_variables,
     subformulas,
 )
-from cnl4.matrix import CapExceededError, is_consequence
+from cnl4.matrix import DEFAULT_CAP, CapExceededError, is_consequence
 from cnl4.nd import (
     DISCHARGING_RULES,
     MAX_PROOF_DEPTH,
@@ -703,7 +703,7 @@ def test_search_results_are_sound_on_random_sequents() -> None:
 def _plain_search(s, depth):
     """``search`` with its matrix pre-check reported over the cap, so the
     search body runs on every sequent."""
-    def over_cap(sequent, cap=nd.DEFAULT_CAP):
+    def over_cap(sequent, cap=DEFAULT_CAP):
         raise CapExceededError(len(sequent_variables(sequent)), cap)
 
     with mock.patch.object(nd, "is_consequence", over_cap):
