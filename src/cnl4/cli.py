@@ -30,7 +30,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from . import _bind, _lazy_getattr
+from . import _EXPORTS, _bind, _lazy_getattr
 from .formula import (
     Formula,
     ParseError,
@@ -41,30 +41,22 @@ from .formula import (
     variables,
 )
 
-#: The names this module takes from each layer but ``formula``.  Each verb
+#: The names this module takes from each layer: its public names, grouped as
+#: ``cnl4`` exports them, and the three that no layer exports.  Each verb
 #: names its layers in its ``_VERBS`` row, and ``run`` loads them before the
-#: verb runs; ``__getattr__`` loads them for a caller that reads ``cli.<name>``
-#: first, such as a tracer that replaces the function with a wrapper
-#: (``truth_table`` is bound for such callers only).
-_LAYER_NAMES = {
-    "matrix": ("CANONICAL_ORDER", "DEFAULT_CAP", "CapExceededError", "UnboundVariableError",
-               "Value", "countermodel", "evaluate", "is_consequence", "truth_rows", "truth_table"),
-    "nd": ("DerivationError", "ProofFormatError", "check", "corpus", "derivation_sequent",
-           "from_json_dict", "render_derivation", "to_json_dict"),
-    "prove": ("search",),
-    "fc": ("UnaryTable", "find_term_for_unary", "unary_clone_closure", "verify_delta_c"),
-    "relational": ("FdeValue", "OPTIONS", "check_option_equivalence", "get_option",
-                   "option_table_lines"),
-}
+#: verb runs; ``__getattr__`` loads a group for a caller that reads
+#: ``cli.<name>`` first, such as a tracer that replaces the function with a wrapper.
+_GROUPS = (*_EXPORTS, ("matrix", ("DEFAULT_CAP", "truth_rows")), ("nd", ("derivation_sequent",)))
 
 
 def _load(*layers: str) -> None:
-    """Import each layer and bind its names here (see :func:`cnl4._bind`)."""
-    for layer in layers:
-        _bind(globals(), layer, _LAYER_NAMES[layer])
+    """Import each layer and bind its groups here (see :func:`cnl4._bind`)."""
+    for layer, names in _GROUPS:
+        if layer in layers:
+            _bind(globals(), layer, names)
 
 
-__getattr__ = _lazy_getattr(globals(), tuple(_LAYER_NAMES.items()))
+__getattr__ = _lazy_getattr(globals(), _GROUPS)
 
 
 class UsageError(Exception):

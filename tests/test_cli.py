@@ -665,6 +665,14 @@ def test_unexpected_error_is_an_internal_error(capsys, monkeypatch, error) -> No
     assert err == f"cnl4: internal error: {type(error).__name__}: {error}\n"
 
 
+def test_each_named_error_row_is_an_exception_the_cli_binds() -> None:
+    # a misspelt row matches nothing, and its error would exit 4
+    bound = {name for _, names in cli._GROUPS for name in names}
+    kinds = [kind for kind, _, _ in cli._ERRORS if isinstance(kind, str)]
+    assert kinds and set(kinds) <= bound
+    assert all(issubclass(getattr(cli, kind), Exception) for kind in kinds)
+
+
 class _FailingStdout(io.StringIO):
     """Takes ``writes`` writes, then raises ``error`` on every one."""
 

@@ -11,7 +11,8 @@ search that never splits load no semantics, and ``search-proof`` loads it
 at a split or for a miss.
 Module loading is checked in fresh interpreters, one per case, with no
 bytecode written.  The public surface and every name the benchmark tracer
-wraps must resolve as they did with eager imports.
+wraps must resolve as they did with eager imports, and a name read first
+on ``cnl4.cli`` loads only its own layer.
 """
 
 from __future__ import annotations
@@ -185,6 +186,48 @@ def test_tracer_names_resolve_on_a_fresh_cli() -> None:
                          "print(json.dumps([callable(getattr(module, n)) for n in sys.argv[2:]]))",
                          module, *names)
         assert resolved == [True] * len(names), module
+
+
+# ---------------------------------------------------------------------------
+# Each name the CLI binds, read first
+
+_READ_CLI_NAME = """
+import importlib, json, sys
+from cnl4 import cli
+name, layer = sys.argv[1:]
+value = getattr(cli, name)
+loaded = sorted(m for m in sys.modules if m.startswith("cnl4."))
+print(json.dumps([value is getattr(importlib.import_module(f"cnl4.{layer}"), name), loaded]))
+"""
+
+#: A name from each of the CLI's groups, its defining layer and what else
+#: reading it loads: ``matrix`` brings ``engine``, ``fc`` and ``relational``
+#: bring ``matrix``, and ``prove`` brings ``nd``.
+CLI_NAMES = [
+    ("Atom", "formula", set()),
+    ("truth_table", "matrix", MATRIX),
+    ("DEFAULT_CAP", "matrix", MATRIX),
+    ("truth_rows", "matrix", MATRIX),
+    ("get_option", "relational", MATRIX | {"cnl4.relational"}),
+    ("DerivationError", "nd", {"cnl4.nd"}),
+    ("to_json_dict", "nd", {"cnl4.nd"}),
+    ("derivation_sequent", "nd", {"cnl4.nd"}),
+    ("search", "prove", PROOF_SEARCH),
+    ("verify_delta_c", "fc", MATRIX | {"cnl4.fc"}),
+]
+
+
+def test_cli_names_cover_every_group() -> None:
+    named = {name for name, _, _ in CLI_NAMES}
+    assert all(named & set(names) for _, names in cli._GROUPS)
+    assert {layer for layer, _ in cli._GROUPS} == {layer for _, layer, _ in CLI_NAMES}
+
+
+@pytest.mark.parametrize(("name", "layer", "layers"), CLI_NAMES, ids=[n for n, *_ in CLI_NAMES])
+def test_a_cli_name_is_its_layers_object_and_loads_only_that_layer(name, layer, layers) -> None:
+    same, loaded = fresh(_READ_CLI_NAME, name, layer)
+    assert same
+    assert set(loaded) == BASE | layers
 
 
 _COUNT_CALLS = """
